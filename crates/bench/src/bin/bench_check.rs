@@ -1,6 +1,9 @@
-//! The perf-regression gate: measures every registered headline point
-//! (Figs. 4–8, plus the WAN-degradation scenarios of the fault
-//! injector) and diffs the records against a committed baseline.
+//! The perf-regression gate: measures every scenario of the registry
+//! (`tsqr_bench::figures::scenarios`) and diffs the records against a
+//! committed baseline. The registry holds 24 records in five families:
+//! the Figs. 4–8 headline points, WAN-degradation scenarios of the fault
+//! injector, autotuned trees, serving-layer points and fault-injected
+//! serving points.
 //!
 //! Usage (normally driven by `scripts/bench_check.sh`):
 //!
@@ -12,10 +15,12 @@
 //! The simulation is deterministic, so the comparison is strict: message /
 //! byte / WAN counts must match exactly, times and Gflop/s to a relative
 //! tolerance (default 1e-9, override with `GRID_TSQR_BENCH_RTOL`), and the
-//! model-fit residual to 1e-6 absolute. Every `measure_point` run also
-//! re-asserts the critical-path and wait-state reconciliation invariants,
-//! so a green gate certifies the whole observability stack, not just the
-//! headline numbers. Exits non-zero on any mismatch.
+//! model-fit residual to 1e-6 absolute. Every traced run also re-asserts
+//! the critical-path and wait-state reconciliation invariants, every tune
+//! scenario the autotuner's claim, and `check_claims` the serving and
+//! recovery claims over the measured set, so a green gate certifies the
+//! whole stack, not just the headline numbers. Exits non-zero on any
+//! mismatch.
 //!
 //! When `GRID_TSQR_LEDGER=<file>` is set (as `scripts/bench_check.sh` does
 //! by default), every measured point is additionally appended to the
@@ -25,11 +30,9 @@
 use std::process::ExitCode;
 
 use tsqr_bench::figures::{
-    all_figures, bench_records_full, compare_records, fault_bench_records_full,
-    parse_records, records_json, serve_bench_records_full, serve_fault_bench_records_full,
-    tune_bench_records_full,
+    check_claims, compare_records, measure, parse_records, records_json, scenarios,
 };
-use tsqr_obs::ledger::{append_entry, path_from_env, LedgerEntry};
+use tsqr_obs::ledger::{append_entry, path_from_env};
 
 fn usage() -> ! {
     eprintln!(
@@ -69,28 +72,21 @@ fn main() -> ExitCode {
         .and_then(|v| v.parse::<f64>().ok())
         .unwrap_or(1e-9);
 
-    eprintln!("# measuring {} figures (deterministic simulation)...", all_figures().len());
+    let scenarios = scenarios();
+    eprintln!("# measuring {} scenarios (deterministic simulation)...", scenarios.len());
     let mut measured = Vec::new();
-    let mut entries: Vec<LedgerEntry> = Vec::new();
-    let mut take = |(rec, entry): (tsqr_bench::BenchRecord, LedgerEntry)| {
+    let mut entries = Vec::new();
+    for s in &scenarios {
+        let (rec, entry) = measure(s);
         eprintln!(
             "#   {:<16} makespan {:>10.4} s  {:>7.1} Gflop/s  {:>6} WAN msgs  residual {:.2e}",
             rec.id, rec.makespan_s, rec.gflops, rec.wan_msgs, rec.model_residual
         );
         measured.push(rec);
         entries.push(entry);
-    };
-    for fig in all_figures() {
-        bench_records_full(fig).into_iter().for_each(&mut take);
     }
-    eprintln!("# measuring WAN-degradation scenarios (fault injector)...");
-    fault_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring autotuned-tree points (model-driven search)...");
-    tune_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring serving-layer points (multi-tenant scheduler)...");
-    serve_bench_records_full().into_iter().for_each(&mut take);
-    eprintln!("# measuring fault-injected serving points (chaos recovery)...");
-    serve_fault_bench_records_full().into_iter().for_each(&mut take);
+    eprintln!("# checking cross-record claims (serving, recovery, replay)...");
+    check_claims(&scenarios, &measured);
     let doc = records_json(&measured);
 
     if let Some(path) = path_from_env() {

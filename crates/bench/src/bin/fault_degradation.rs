@@ -1,6 +1,6 @@
 //! The degradation bench: every registered WAN-degradation scenario
-//! ([`tsqr_bench::fault_points`]) next to its failure-free twin, on the
-//! 4-site grid.
+//! (the `faults/*` entries of [`tsqr_bench::figures::scenarios`]) next
+//! to its failure-free twin, on the 4-site grid.
 //!
 //! The fault injector degrades link *pricing*, never routing, so two
 //! invariants must hold for each scenario and are checked here:
@@ -20,17 +20,17 @@
 //! `BENCH_faults.json` (schema `grid-tsqr-bench/v1`); see
 //! `docs/fault-injection.md` §Degradation bench.
 
-use tsqr_bench::figures::records_json;
-use tsqr_bench::{fault_points, measure_fault_clean, measure_fault_point, ShapeCheck};
+use tsqr_bench::figures::{measure, records_json, scenarios, Run};
+use tsqr_bench::ShapeCheck;
 
 fn main() {
-    let points = fault_points();
     let mut checks = ShapeCheck::new();
     let mut records = Vec::new();
 
-    for p in &points {
-        let clean = measure_fault_clean(p);
-        let degraded = measure_fault_point(p);
+    for s in scenarios() {
+        let Run::Traced(_, Some(wan)) = &s.run else { continue };
+        let (clean, _) = measure(&s.clean_twin());
+        let (degraded, _) = measure(&s);
         println!(
             "{:<18} clean {:>8.4} s -> degraded {:>8.4} s  ({:.2}x, window {:?} s, \
              lat x{}, bw /{})",
@@ -38,9 +38,9 @@ fn main() {
             clean.makespan_s,
             degraded.makespan_s,
             degraded.makespan_s / clean.makespan_s,
-            p.window_s,
-            p.latency_factor,
-            p.bandwidth_divisor,
+            wan.window_s,
+            wan.latency_factor,
+            wan.bandwidth_divisor,
         );
 
         checks.check(
@@ -57,7 +57,7 @@ fn main() {
         let slowdown = degraded.makespan_s / clean.makespan_s;
         // Whole-run degradations must visibly slow the reduction; the
         // transient brown-out only needs to not *speed it up*.
-        let whole_run = p.window_s.0 == 0.0 && p.window_s.1 > clean.makespan_s;
+        let whole_run = wan.window_s.0 == 0.0 && wan.window_s.1 > clean.makespan_s;
         let want = if whole_run { 1.2 } else { 1.0 };
         checks.check(
             &format!("{}: degraded WAN slows the run", degraded.id),

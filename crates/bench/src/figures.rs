@@ -1,14 +1,16 @@
-//! The figure registry and the perf-regression records behind
+//! The scenario registry and the perf-regression records behind
 //! `BENCH_results.json`.
 //!
-//! Every Fig. 4–8 binary has one (or two) *headline configurations* — the
-//! points whose traces the `--trace-out` flag dumps and whose measured
-//! numbers the repository's perf-regression gate pins. This module is the
-//! single source of truth for those points ([`figure_points`]), the
-//! shared `--trace-out` / bench-emission entry the binaries call
-//! ([`crate::harness::run_figure`]) and `bench_check` both consume it, so
-//! the figure a reader traces is byte-for-byte the configuration the gate
-//! measures.
+//! [`scenarios`] lists every record the gate pins, in the order of the
+//! committed `BENCH_baseline.json`: the Fig. 4–8 headline points, the
+//! WAN-degradation scenarios of the fault injector, the autotuned trees,
+//! the serving points and the fault-injected serving points — 24 records
+//! in five families. [`measure`] runs one scenario and distils it into a
+//! [`BenchRecord`] plus an experiment-ledger entry; [`check_claims`]
+//! asserts the claims that compare records with each other. The Fig. 4–8
+//! binaries reach the same registry through [`figure_points`] and
+//! [`crate::harness::run_figure`], so the figure a reader traces is
+//! byte-for-byte the configuration the gate measures.
 //!
 //! A [`BenchRecord`] carries everything `scripts/bench_check.sh` compares
 //! against the committed `BENCH_baseline.json`: the makespan and Gflop/s,
@@ -27,16 +29,16 @@ use tsqr_core::tree::TreeShape;
 use tsqr_core::tune;
 use tsqr_gridmpi::{FoldedProfile, MetricsRegistry, Trace};
 use tsqr_netsim::{FailureSchedule, VirtualTime};
+use tsqr_obs::json::{escape, num, Json};
 use tsqr_obs::ledger::{EnvFingerprint, LedgerEntry, ModelCoeffs, PhaseRow};
 use tsqr_qcg::ResourceCatalog;
 use tsqr_serve::{
     serve as run_serve, BrownoutConfig, Policy as ServePolicy, PolicyReport as ServeReport,
-    RetryPolicy, ServeConfig,
+    RetryPolicy, ServeConfig, ServeOutcome,
 };
 
 use crate::calib;
 use crate::harness::grid_runtime;
-use crate::json::{escape, num, Json};
 
 /// One headline configuration of a figure binary.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +62,11 @@ impl FigurePoint {
     /// Stable identifier used in `BENCH_results.json` (`"fig5/tsqr"`).
     pub fn id(&self) -> String {
         format!("{}/{}", self.figure, self.label)
+    }
+
+    /// The point as a gate scenario (ledger source `"figure"`).
+    pub fn scenario(&self) -> Scenario {
+        Scenario { id: self.id(), source: "figure", run: Run::Traced(self.clone(), None) }
     }
 }
 
@@ -107,6 +114,223 @@ pub fn figure_points(figure: &str) -> Vec<FigurePoint> {
         ],
         other => panic!("unknown figure {other:?}"),
     }
+}
+
+/// One autotuner gate point: a Fig. 4–8 topology re-run under the
+/// reduction tree `tsqr_core::tune::autotune` picks for it. The record id
+/// is `tune/<figure>`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TunePoint {
+    /// Which figure's topology/problem this tunes (`"fig4"` … `"fig8"`).
+    pub figure: &'static str,
+    /// Number of Grid'5000 sites.
+    pub sites: usize,
+    /// Rows.
+    pub m: u64,
+    /// Columns.
+    pub n: usize,
+    /// Single-process domains per cluster (= ranks per cluster).
+    pub domains_per_cluster: usize,
+}
+
+/// The autotuner gate points — every Fig. 4–8 topology at its headline
+/// problem size, always with single-process domains (64 per 64-proc
+/// site, the regime the analytic predictor models). Fig. 4's point runs
+/// TSQR on the ScaLAPACK figure's topology; Fig. 8's headline TSQR point
+/// groups two processes per domain, so its tune twin drops to
+/// one-process domains instead.
+pub fn tune_points() -> Vec<TunePoint> {
+    let p = |figure, sites, m, n| TunePoint { figure, sites, m, n, domains_per_cluster: 64 };
+    vec![
+        p("fig4", 4, 1_048_576, 64),
+        p("fig5", 4, 1_048_576, 64),
+        p("fig6", 4, 4_194_304, 64),
+        p("fig7", 1, 1_048_576, 64),
+        p("fig8", 4, 8_388_608, 512),
+    ]
+}
+
+/// A WAN degradation: every inter-cluster link slowed for a window of
+/// virtual time ([`tsqr_netsim::FailureSchedule::degrade_all_wan`]).
+///
+/// Degradation changes link *pricing*, never routing, so the message /
+/// byte / WAN counts of a degraded run must equal its failure-free twin —
+/// `fault_degradation` asserts exactly that, and the perf gate pins the
+/// slowed makespans the same way it pins Figs. 4–8.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WanDegradation {
+    /// Degradation window `[from, until)`, virtual seconds.
+    pub window_s: (f64, f64),
+    /// Latency multiplier applied to every WAN link in the window.
+    pub latency_factor: f64,
+    /// Bandwidth divisor applied to every WAN link in the window.
+    pub bandwidth_divisor: f64,
+}
+
+impl WanDegradation {
+    /// The injected schedule: every WAN link degraded in the window.
+    pub fn schedule(&self) -> FailureSchedule {
+        FailureSchedule::new(0).degrade_all_wan(
+            VirtualTime::from_secs(self.window_s.0),
+            VirtualTime::from_secs(self.window_s.1),
+            self.latency_factor,
+            self.bandwidth_divisor,
+        )
+    }
+}
+
+/// What a [`Scenario`] runs.
+#[derive(Debug, Clone)]
+pub enum Run {
+    /// A traced symbolic run of one configuration, optionally under a
+    /// WAN degradation.
+    Traced(FigurePoint, Option<WanDegradation>),
+    /// Autotunes the reduction tree, then measures the winner traced.
+    Tune(TunePoint),
+    /// A full `tsqr-serve` trace over the Grid'5000 catalog.
+    Serve(ServeConfig),
+}
+
+/// One record of the perf gate: its id, its ledger provenance and what
+/// it runs.
+#[derive(Debug, Clone)]
+pub struct Scenario {
+    /// Record id in `BENCH_results.json` (`"fig5/tsqr"`, `"serve/fifo@2.5"`).
+    pub id: String,
+    /// Ledger source: `"figure"`, `"faults"`, `"tune"`, `"serve"` or
+    /// `"serve-faults"`.
+    pub source: &'static str,
+    /// What the scenario runs.
+    pub run: Run,
+}
+
+impl Scenario {
+    /// The same scenario with every injected fault removed: the
+    /// failure-free twin a fault scenario's claims are measured against.
+    pub fn clean_twin(&self) -> Scenario {
+        let run = match &self.run {
+            Run::Traced(point, _) => Run::Traced(point.clone(), None),
+            Run::Tune(point) => Run::Tune(point.clone()),
+            Run::Serve(cfg) => {
+                Run::Serve(ServeConfig { faults: FailureSchedule::default(), ..cfg.clone() })
+            }
+        };
+        Scenario { id: self.id.clone(), source: self.source, run }
+    }
+}
+
+/// Every gate scenario, in `BENCH_baseline.json` order:
+///
+/// * the Fig. 4–8 headline points ([`figure_points`]);
+/// * `faults/<name>` — Fig. 5's headline configuration under three WAN
+///   degradations;
+/// * `tune/<figure>` — the autotuned trees ([`tune_points`]);
+/// * `serve/<policy>@<load>` — the 200-request seeded trace at high load
+///   under every policy (where the disciplines separate), plus the
+///   same-shape burst with and without batching (`+batch`, where
+///   batching's WAN-message claim is measurable);
+/// * `serve-faults/<name>` — the failure schedules `grid-tsqr check`
+///   pins as COMMCHECK lines: a site crash at t = 0.1 s virtual recovered
+///   with checkpointed WAN drain vs full restart, the same crash under a
+///   4-site-wide shape (elastic re-planning onto the three survivors),
+///   and a degraded-WAN window plus transient drain drops with aggressive
+///   watermarks so admission browns out and sheds.
+pub fn scenarios() -> Vec<Scenario> {
+    let mut all: Vec<Scenario> =
+        all_figures().into_iter().flat_map(figure_points).map(|p| p.scenario()).collect();
+
+    let fig5 = figure_points("fig5").remove(0);
+    let wan = |name: &str, window_s, latency_factor, bandwidth_divisor| Scenario {
+        id: format!("faults/{name}"),
+        source: "faults",
+        run: Run::Traced(
+            fig5.clone(),
+            Some(WanDegradation { window_s, latency_factor, bandwidth_divisor }),
+        ),
+    };
+    all.extend([
+        // The whole run under a 10×-latency, 10×-less-bandwidth WAN —
+        // the "bad day on the backbone" bound.
+        wan("wan-10x", (0.0, 60.0), 10.0, 10.0),
+        // A transient 4×/4× brown-out covering the reduction's WAN phase
+        // only; the run mostly rides it out.
+        wan("wan-brownout", (0.05, 0.25), 4.0, 4.0),
+        // Pure latency inflation (congested but not saturated links):
+        // the TSQR makespan moves by ~the extra round trips, a direct
+        // probe of the paper's latency-dominated WAN term in Eq. (1).
+        wan("wan-latency-5x", (0.0, 60.0), 5.0, 1.0),
+    ]);
+
+    all.extend(tune_points().into_iter().map(|p| Scenario {
+        id: format!("tune/{}", p.figure),
+        source: "tune",
+        run: Run::Tune(p),
+    }));
+
+    let serve = |policy: ServePolicy, load: f64, batch, requests, single_shape| Scenario {
+        id: format!("serve/{}@{load:.1}{}", policy.label(), if batch { "+batch" } else { "" }),
+        source: "serve",
+        run: Run::Serve(ServeConfig {
+            policy,
+            load,
+            requests,
+            seed: 42,
+            batch,
+            single_shape,
+            ..Default::default()
+        }),
+    };
+    all.extend(
+        [ServePolicy::Fifo, ServePolicy::Sjf, ServePolicy::Edf, ServePolicy::Fair]
+            .map(|policy| serve(policy, 2.5, false, 200, None)),
+    );
+    all.extend([false, true].map(|batch| serve(ServePolicy::Fifo, 4.0, batch, 60, Some(3))));
+
+    let chaos = |name: &str, cfg| Scenario {
+        id: format!("serve-faults/{name}"),
+        source: "serve-faults",
+        run: Run::Serve(cfg),
+    };
+    let base = ServeConfig { requests: 30, load: 1.0, seed: 7, ..Default::default() };
+    let crash = FailureSchedule::new(1).crash_site(2, VirtualTime::from_secs(0.1));
+    all.extend([
+        chaos("crash-ckpt", ServeConfig { faults: crash.clone(), ..base.clone() }),
+        chaos(
+            "crash-restart",
+            ServeConfig {
+                faults: crash.clone(),
+                retry: RetryPolicy { checkpoint_drain: false, ..Default::default() },
+                ..base.clone()
+            },
+        ),
+        chaos(
+            "crash-replan",
+            ServeConfig { faults: crash, single_shape: Some(3), ..base.clone() },
+        ),
+        chaos(
+            "wan-brownout",
+            ServeConfig {
+                requests: 40,
+                load: 0.5,
+                faults: (0..6)
+                    .fold(FailureSchedule::new(1), |s, nth| s.drop_nth_message(0, 2, nth))
+                    .degrade_all_wan(
+                        VirtualTime::from_secs(0.05),
+                        VirtualTime::from_secs(5.0),
+                        1.0,
+                        8.0,
+                    ),
+                retry: RetryPolicy { backoff_base_s: 0.2, ..Default::default() },
+                brownout: BrownoutConfig {
+                    enter_watermark: 1,
+                    exit_watermark: 0,
+                    shed_slack: 0.0,
+                },
+                ..base
+            },
+        ),
+    ]);
+    all
 }
 
 /// One measured headline point — the unit of the perf-regression gate.
@@ -227,50 +451,121 @@ pub fn ledger_entry(
                 gamma_s_per_flop: f.gamma_s_per_flop,
                 rel_residual: f.rel_residual,
             })
-            .unwrap_or(ModelCoeffs {
-                beta_s: 0.0,
-                alpha_s_per_word: 0.0,
-                gamma_s_per_flop: 0.0,
-                rel_residual: 0.0,
-            }),
+            .unwrap_or_default(),
         phases,
         env: EnvFingerprint::current(),
     }
 }
 
-/// Runs one headline point traced and distills it into a
-/// [`BenchRecord`]. Also asserts the three cross-layer invariants the
-/// observability stack guarantees: the critical path tiles the makespan,
-/// the wait-state classification reconciles with the metrics registry to
-/// 1e-9, and the folded-stack profile tiles every rank's timeline — so
-/// every bench run doubles as an integration test of the diagnostics.
-pub fn measure_point(point: &FigurePoint) -> BenchRecord {
-    measure_point_full(point).0
+/// Distills a serving run into an experiment-ledger entry. Serving reuses
+/// the critical-path columns for queueing statistics (documented in
+/// `docs/serving.md` §Ledger): `cp_compute_s` = mean sojourn, `cp_send_s`
+/// = p99 sojourn, `cp_wan_msgs` = SLO misses, `wait_s` = total queue
+/// wait; `m` is the trace's total rows, and the fit is all zeros —
+/// serving runs have no Eq. (1) fit. Shared by the bench gate and
+/// `grid-tsqr serve`.
+pub fn serve_ledger_entry(
+    source: &str,
+    scenario: &str,
+    tree: &str,
+    catalog: &ResourceCatalog,
+    outcome: &ServeOutcome,
+    report: &ServeReport,
+) -> LedgerEntry {
+    let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
+    LedgerEntry {
+        seq: 0, // assigned by tsqr_obs::ledger::append_entry
+        source: source.to_string(),
+        scenario: scenario.to_string(),
+        sites: catalog.clusters.len(),
+        procs: catalog.total_procs(),
+        m: total_rows as usize,
+        n: 64,
+        tree: tree.to_string(),
+        makespan_s: report.horizon_s,
+        gflops: report.gflops,
+        msgs: report.msgs,
+        wan_msgs: report.wan_msgs,
+        bytes: report.bytes,
+        cp_compute_s: report.mean_sojourn_s,
+        cp_send_s: report.p99_sojourn_s,
+        cp_wan_msgs: report.slo_miss as u64,
+        wait_s: report.total_wait_s,
+        phases: Vec::new(),
+        fit: ModelCoeffs::default(),
+        env: EnvFingerprint::current(),
+    }
 }
 
-/// [`measure_point`] plus the run's experiment-ledger entry.
-pub fn measure_point_full(point: &FigurePoint) -> (BenchRecord, LedgerEntry) {
-    measure_on(&point.id(), point.sites, point.m, point.n, point.algorithm.clone(), None)
+/// Runs one gate scenario and distills it into a [`BenchRecord`] and an
+/// experiment-ledger entry (with the scenario's source).
+///
+/// Traced runs assert the three cross-layer invariants of `measure_on`,
+/// so every bench run doubles as an integration test of the diagnostics.
+/// A tune scenario first asserts the autotuner's headline claim: the
+/// autotuned tree's replayed makespan is never slower than any of the
+/// three fixed shapes on this topology (ties allowed — the search table
+/// lists fixed shapes first precisely so a tie resolves to one of them).
+pub fn measure(s: &Scenario) -> (BenchRecord, LedgerEntry) {
+    match &s.run {
+        Run::Traced(p, wan) => measure_on(
+            s,
+            p.sites,
+            p.m,
+            p.n,
+            p.algorithm.clone(),
+            wan.as_ref().map(WanDegradation::schedule),
+        ),
+        Run::Tune(p) => {
+            let rt = grid_runtime(p.sites);
+            let rate = Some(calib::kernel_rate_flops(p.n));
+            let combine = Some(calib::combine_rate_flops());
+            let outcome = tune::autotune(&rt, p.m, p.n, p.domains_per_cluster, rate, combine);
+            let layout = DomainLayout::build(rt.topology(), p.m, p.n, p.domains_per_cluster);
+            for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
+                let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
+                assert!(
+                    outcome.replayed.secs() <= fixed.secs() * (1.0 + 1e-12),
+                    "{}: autotuned {:?} ({} s) slower than fixed {shape:?} ({} s)",
+                    s.id,
+                    outcome.best().shape,
+                    outcome.replayed.secs(),
+                    fixed.secs()
+                );
+            }
+            let algorithm = Algorithm::Tsqr {
+                shape: outcome.best().shape.clone(),
+                domains_per_cluster: p.domains_per_cluster,
+            };
+            measure_on(s, p.sites, p.m, p.n, algorithm, None)
+        }
+        Run::Serve(_) => {
+            let (record, entry, _) = serve_trace(s);
+            (record, entry)
+        }
+    }
 }
 
-/// Shared measurement core of [`measure_point`] and
-/// [`measure_fault_point`]: runs one traced configuration (optionally
-/// under a failure schedule) and distills it into a [`BenchRecord`] and
-/// a ledger entry (source `"figure"`; callers with a different
-/// provenance overwrite it), asserting the critical-path, wait-state
-/// and profile-tiling invariants along the way.
+/// The traced measurement core: runs one configuration symbolically
+/// (optionally under a failure schedule) and distills it into a
+/// [`BenchRecord`] and a ledger entry. Asserts the three cross-layer
+/// invariants the observability stack guarantees: the critical path
+/// tiles the makespan, the wait-state classification reconciles with the
+/// metrics registry to 1e-9, and the folded-stack profile tiles every
+/// rank's timeline.
 fn measure_on(
-    id: &str,
+    s: &Scenario,
     sites: usize,
     m: u64,
     n: usize,
     algorithm: Algorithm,
     schedule: Option<FailureSchedule>,
 ) -> (BenchRecord, LedgerEntry) {
+    let id = &s.id;
     let tree = tree_label(&algorithm);
     let mut rt = grid_runtime(sites);
-    if let Some(s) = schedule {
-        rt.set_failure_schedule(s);
+    if let Some(schedule) = schedule {
+        rt.set_failure_schedule(schedule);
     }
     rt.enable_tracing();
     let res = run_experiment(
@@ -313,7 +608,7 @@ fn measure_on(
         "folded profile must tile every rank's timeline ({id}: rel err {tile_err:.3e})"
     );
     let entry = ledger_entry(
-        "figure",
+        s.source,
         id,
         sites,
         rt.topology().num_procs(),
@@ -326,7 +621,7 @@ fn measure_on(
         Some(trace),
     );
     let record = BenchRecord {
-        id: id.to_string(),
+        id: id.clone(),
         sites,
         m,
         n,
@@ -344,371 +639,76 @@ fn measure_on(
     (record, entry)
 }
 
-/// Measures every headline point of one figure.
-pub fn bench_records(figure: &str) -> Vec<BenchRecord> {
-    figure_points(figure).iter().map(measure_point).collect()
-}
-
-/// [`bench_records`] plus each point's experiment-ledger entry.
-pub fn bench_records_full(figure: &str) -> Vec<(BenchRecord, LedgerEntry)> {
-    figure_points(figure).iter().map(measure_point_full).collect()
-}
-
-/// One WAN-degradation scenario of the fault bench: a headline
-/// configuration re-run with every inter-cluster link degraded for a
-/// window of virtual time ([`tsqr_netsim::FailureSchedule::degrade_all_wan`]).
+/// The serve-trace core: runs one serving scenario and distills it into
+/// a [`BenchRecord`] whose columns are the ledger entry's (see
+/// [`serve_ledger_entry`]; `model_residual` is 0), the entry itself
+/// (scenario `bench/<id>`, tree `<source>/<policy>`), and the full
+/// policy report.
 ///
-/// Degradation changes link *pricing*, never routing, so the message /
-/// byte / WAN counts of a scenario must equal its failure-free twin —
-/// `fault_degradation` asserts exactly that, and the perf gate pins the
-/// slowed makespans the same way it pins Figs. 4–8.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultPoint {
-    /// Distinguishes scenarios (`"wan-10x"`); the record id is
-    /// `faults/<label>`.
-    pub label: &'static str,
-    /// Number of Grid'5000 sites.
-    pub sites: usize,
-    /// Rows.
-    pub m: u64,
-    /// Columns.
-    pub n: usize,
-    /// The algorithm under test.
-    pub algorithm: Algorithm,
-    /// Degradation window `[from, until)`, virtual seconds.
-    pub window_s: (f64, f64),
-    /// Latency multiplier applied to every WAN link in the window.
-    pub latency_factor: f64,
-    /// Bandwidth divisor applied to every WAN link in the window.
-    pub bandwidth_divisor: f64,
-}
-
-impl FaultPoint {
-    /// Stable identifier used in `BENCH_results.json` (`"faults/wan-10x"`).
-    pub fn id(&self) -> String {
-        format!("faults/{}", self.label)
-    }
-
-    /// The injected schedule: every WAN link degraded in the window.
-    pub fn schedule(&self) -> FailureSchedule {
-        FailureSchedule::new(0).degrade_all_wan(
-            VirtualTime::from_secs(self.window_s.0),
-            VirtualTime::from_secs(self.window_s.1),
-            self.latency_factor,
-            self.bandwidth_divisor,
-        )
-    }
-}
-
-/// The registered WAN-degradation scenarios, all on the 4-site grid at
-/// Fig. 5's headline configuration (`M = 2²⁰, N = 64`, TSQR with 64
-/// domains per cluster).
-pub fn fault_points() -> Vec<FaultPoint> {
-    let p = |label, window_s, latency_factor, bandwidth_divisor| FaultPoint {
-        label,
-        sites: 4,
-        m: 1_048_576,
-        n: 64,
-        algorithm: TSQR64,
-        window_s,
-        latency_factor,
-        bandwidth_divisor,
-    };
-    vec![
-        // The whole run under a 10×-latency, 10×-less-bandwidth WAN —
-        // the "bad day on the backbone" bound.
-        p("wan-10x", (0.0, 60.0), 10.0, 10.0),
-        // A transient 4×/4× brown-out covering the reduction's WAN phase
-        // only; the run mostly rides it out.
-        p("wan-brownout", (0.05, 0.25), 4.0, 4.0),
-        // Pure latency inflation (congested but not saturated links):
-        // the TSQR makespan moves by ~the extra round trips, a direct
-        // probe of the paper's latency-dominated WAN term in Eq. (1).
-        p("wan-latency-5x", (0.0, 60.0), 5.0, 1.0),
-    ]
-}
-
-/// Runs one degradation scenario traced and distills it into a
-/// [`BenchRecord`] (same invariants as [`measure_point`]).
-pub fn measure_fault_point(point: &FaultPoint) -> BenchRecord {
-    measure_fault_point_full(point).0
-}
-
-/// [`measure_fault_point`] plus the run's experiment-ledger entry
-/// (source `"faults"`).
-pub fn measure_fault_point_full(point: &FaultPoint) -> (BenchRecord, LedgerEntry) {
-    let (record, mut entry) = measure_on(
-        &point.id(),
-        point.sites,
-        point.m,
-        point.n,
-        point.algorithm.clone(),
-        Some(point.schedule()),
-    );
-    entry.source = "faults".to_string();
-    (record, entry)
-}
-
-/// Runs the *failure-free twin* of a degradation scenario (same
-/// configuration, empty schedule); the record id gets a `-clean` suffix
-/// so it can sit next to the degraded one without colliding. Not part of
-/// the gate — `fault_degradation` uses it to assert the invariants
-/// (identical traffic, slower clock).
-pub fn measure_fault_clean(point: &FaultPoint) -> BenchRecord {
-    measure_on(
-        &format!("{}-clean", point.id()),
-        point.sites,
-        point.m,
-        point.n,
-        point.algorithm.clone(),
-        None,
-    )
-    .0
-}
-
-/// Measures every registered degradation scenario.
-pub fn fault_bench_records() -> Vec<BenchRecord> {
-    fault_points().iter().map(measure_fault_point).collect()
-}
-
-/// [`fault_bench_records`] plus each scenario's experiment-ledger entry.
-pub fn fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    fault_points().iter().map(measure_fault_point_full).collect()
-}
-
-/// One autotuner gate point: a Fig. 4–8 topology re-run under the
-/// reduction tree `tsqr_core::tune::autotune` picks for it. The record id
-/// is `tune/<figure>`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TunePoint {
-    /// Which figure's topology/problem this tunes (`"fig4"` … `"fig8"`).
-    pub figure: &'static str,
-    /// Number of Grid'5000 sites.
-    pub sites: usize,
-    /// Rows.
-    pub m: u64,
-    /// Columns.
-    pub n: usize,
-    /// Single-process domains per cluster (= ranks per cluster).
-    pub domains_per_cluster: usize,
-}
-
-/// The autotuner gate points — every Fig. 4–8 topology at its headline
-/// problem size, always with single-process domains (64 per 64-proc
-/// site, the regime the analytic predictor models). Fig. 4's point runs
-/// TSQR on the ScaLAPACK figure's topology; Fig. 8's headline TSQR point
-/// groups two processes per domain, so its tune twin drops to
-/// one-process domains instead.
-pub fn tune_points() -> Vec<TunePoint> {
-    let p = |figure, sites, m, n| TunePoint { figure, sites, m, n, domains_per_cluster: 64 };
-    vec![
-        p("fig4", 4, 1_048_576, 64),
-        p("fig5", 4, 1_048_576, 64),
-        p("fig6", 4, 4_194_304, 64),
-        p("fig7", 1, 1_048_576, 64),
-        p("fig8", 4, 8_388_608, 512),
-    ]
-}
-
-/// Autotunes one point's reduction tree and measures the winner like a
-/// headline point. Before measuring, asserts the gate's headline claim:
-/// the autotuned tree's replayed makespan is never slower than any of the
-/// three fixed shapes on this topology (ties allowed — the search table
-/// lists fixed shapes first precisely so a tie resolves to one of them).
-pub fn measure_tune_point(point: &TunePoint) -> BenchRecord {
-    measure_tune_point_full(point).0
-}
-
-/// [`measure_tune_point`] plus the run's experiment-ledger entry
-/// (source `"tune"`).
-pub fn measure_tune_point_full(point: &TunePoint) -> (BenchRecord, LedgerEntry) {
-    let rt = grid_runtime(point.sites);
-    let rate = Some(calib::kernel_rate_flops(point.n));
-    let combine = Some(calib::combine_rate_flops());
-    let outcome = tune::autotune(&rt, point.m, point.n, point.domains_per_cluster, rate, combine);
-    let layout = DomainLayout::build(rt.topology(), point.m, point.n, point.domains_per_cluster);
-    for shape in [TreeShape::Flat, TreeShape::Binary, TreeShape::GridHierarchical] {
-        let fixed = tune::replay_makespan(&rt, &layout, &shape, rate, combine);
-        assert!(
-            outcome.replayed.secs() <= fixed.secs() * (1.0 + 1e-12),
-            "tune/{}: autotuned {:?} ({} s) slower than fixed {shape:?} ({} s)",
-            point.figure,
-            outcome.best().shape,
-            outcome.replayed.secs(),
-            fixed.secs()
-        );
-    }
-    let (record, mut entry) = measure_on(
-        &format!("tune/{}", point.figure),
-        point.sites,
-        point.m,
-        point.n,
-        Algorithm::Tsqr {
-            shape: outcome.best().shape.clone(),
-            domains_per_cluster: point.domains_per_cluster,
-        },
-        None,
-    );
-    entry.source = "tune".to_string();
-    (record, entry)
-}
-
-/// Measures every autotuner gate point.
-pub fn tune_bench_records() -> Vec<BenchRecord> {
-    tune_points().iter().map(measure_tune_point).collect()
-}
-
-/// [`tune_bench_records`] plus each point's experiment-ledger entry.
-pub fn tune_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    tune_points().iter().map(measure_tune_point_full).collect()
-}
-
-/// One serving-layer gate point: a full `tsqr-serve` trace at a fixed
-/// `(policy, load, batch)` over the Grid'5000 catalog. The record id is
-/// `serve/<policy>@<load>` (`+batch` when batching is on).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServePoint {
-    /// Queue discipline.
-    pub policy: ServePolicy,
-    /// Offered load.
-    pub load: f64,
-    /// Whether same-shape batching is on.
-    pub batch: bool,
-    /// Requests in the trace.
-    pub requests: usize,
-    /// Workload seed.
-    pub seed: u64,
-    /// Pins every request to one menu shape (the batching burst).
-    pub single_shape: Option<usize>,
-}
-
-impl ServePoint {
-    /// Stable identifier used in `BENCH_results.json`.
-    pub fn id(&self) -> String {
-        format!(
-            "serve/{}@{:.1}{}",
-            self.policy.label(),
-            self.load,
-            if self.batch { "+batch" } else { "" }
-        )
-    }
-
-    fn config(&self) -> ServeConfig {
-        ServeConfig {
-            policy: self.policy,
-            load: self.load,
-            requests: self.requests,
-            seed: self.seed,
-            batch: self.batch,
-            single_shape: self.single_shape,
-            ..Default::default()
-        }
-    }
-}
-
-/// The serving gate points: the ISSUE's 200-request seeded trace at high
-/// load under every policy, plus the same-shape burst with and without
-/// batching. The high-load point is where the disciplines separate; the
-/// burst pair is where batching's WAN-message claim is measurable.
-pub fn serve_points() -> Vec<ServePoint> {
-    let hi = |policy| ServePoint {
-        policy,
-        load: 2.5,
-        batch: false,
-        requests: 200,
-        seed: 42,
-        single_shape: None,
-    };
-    let burst = |batch| ServePoint {
-        policy: ServePolicy::Fifo,
-        load: 4.0,
-        batch,
-        requests: 60,
-        seed: 42,
-        single_shape: Some(3),
-    };
-    vec![
-        hi(ServePolicy::Fifo),
-        hi(ServePolicy::Sjf),
-        hi(ServePolicy::Edf),
-        hi(ServePolicy::Fair),
-        burst(false),
-        burst(true),
-    ]
-}
-
-/// Measures one serving point. The [`BenchRecord`] reuses the
-/// critical-path columns for queueing statistics (documented in
-/// `docs/serving.md` §Ledger): `cp_compute_s` = mean sojourn, `cp_send_s`
-/// = p99 sojourn, `cp_wan_msgs` = SLO misses, `wait_s` = total queue
-/// wait. `model_residual` is 0 — serving runs have no Eq. (1) fit.
-pub fn measure_serve_point_full(point: &ServePoint) -> (BenchRecord, LedgerEntry) {
+/// # Panics
+/// Panics when the scenario is not a [`Run::Serve`].
+fn serve_trace(s: &Scenario) -> (BenchRecord, LedgerEntry, ServeReport) {
+    let Run::Serve(cfg) = &s.run else { panic!("{} is not a serving scenario", s.id) };
     let catalog = ResourceCatalog::grid5000();
-    let outcome = run_serve(&catalog, &point.config());
+    let outcome = run_serve(&catalog, cfg);
     let report = ServeReport::from_outcome(&outcome);
-    let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
+    let entry = serve_ledger_entry(
+        s.source,
+        &format!("bench/{}", s.id),
+        &format!("{}/{}", s.source, cfg.policy.label()),
+        &catalog,
+        &outcome,
+        &report,
+    );
     let record = BenchRecord {
-        id: point.id(),
-        sites: catalog.clusters.len(),
-        m: total_rows,
-        n: 64,
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        model_residual: 0.0,
+        id: s.id.clone(),
+        sites: entry.sites,
+        m: entry.m as u64,
+        n: entry.n,
+        makespan_s: entry.makespan_s,
+        gflops: entry.gflops,
+        msgs: entry.msgs,
+        wan_msgs: entry.wan_msgs,
+        bytes: entry.bytes,
+        cp_compute_s: entry.cp_compute_s,
+        cp_send_s: entry.cp_send_s,
+        cp_wan_msgs: entry.cp_wan_msgs,
+        wait_s: entry.wait_s,
+        model_residual: entry.fit.rel_residual,
     };
-    let entry = LedgerEntry {
-        seq: 0,
-        source: "serve".into(),
-        scenario: format!("bench/{}", point.id()),
-        sites: catalog.clusters.len(),
-        procs: catalog.total_procs(),
-        m: total_rows as usize,
-        n: 64,
-        tree: format!("serve/{}", point.policy.label()),
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        phases: Vec::new(),
-        fit: ModelCoeffs {
-            beta_s: 0.0,
-            alpha_s_per_word: 0.0,
-            gamma_s_per_flop: 0.0,
-            rel_residual: 0.0,
-        },
-        env: EnvFingerprint::current(),
-    };
-    (record, entry)
+    (record, entry, report)
 }
 
-/// Measures every serving gate point and asserts the serving layer's
-/// headline claims on the freshly measured records:
+/// Asserts the gate's cross-record claims over one measured set
+/// (`measured` holds the records of `scenarios`, by id).
 ///
+/// Serving:
 /// * FIFO and SJF genuinely differ on the same seeded high-load trace
 ///   (p99 sojourn or throughput — a scheduler that cannot change the
 ///   outcome is not scheduling);
 /// * SJF's mean sojourn is no worse than FIFO's at high load (the
 ///   textbook shortest-job-first claim, held as data);
 /// * batching strictly reduces WAN messages on the same-shape burst;
-/// * a same-seed re-run reproduces the records byte-identically.
-pub fn serve_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    let points = serve_points();
-    let all: Vec<(BenchRecord, LedgerEntry)> =
-        points.iter().map(measure_serve_point_full).collect();
+/// * a same-seed re-measure of every serving scenario reproduces its
+///   records byte-identically.
+///
+/// Fault-injected serving:
+/// * every crash scenario both faults *and* recovers (fault events and
+///   retried completions are nonzero, nothing fails permanently);
+/// * checkpointed drain beats full restart in mean sojourn on the same
+///   crash (the retry pays only the residual WAN drain);
+/// * the elastic re-plan scenario still completes every request even
+///   though its 4-site shape lost a site;
+/// * the degraded-WAN scenario actually browns out (sheds > 0, nonzero
+///   brownout seconds);
+/// * injecting faults is never free: each scenario's mean sojourn is
+///   strictly worse than its failure-free twin's.
+///
+/// # Panics
+/// Panics when a claim fails or a registered serving record is missing.
+pub fn check_claims(scenarios: &[Scenario], measured: &[BenchRecord]) {
     let by_id = |id: &str| -> &BenchRecord {
-        &all.iter().find(|(r, _)| r.id == id).expect("gate point measured").0
+        measured.iter().find(|r| r.id == id).expect("gate scenario measured")
     };
     let fifo = by_id("serve/fifo@2.5");
     let sjf = by_id("serve/sjf@2.5");
@@ -733,191 +733,54 @@ pub fn serve_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
         batched.wan_msgs,
         unbatched.wan_msgs
     );
-    let replay: Vec<BenchRecord> =
-        points.iter().map(|p| measure_serve_point_full(p).0).collect();
-    let first: Vec<BenchRecord> = all.iter().map(|(r, _)| r.clone()).collect();
-    assert_eq!(
-        records_json(&first),
-        records_json(&replay),
-        "serve records must replay byte-identically"
-    );
-    all
-}
 
-/// Measures every serving gate point (records only).
-pub fn serve_bench_records() -> Vec<BenchRecord> {
-    serve_bench_records_full().into_iter().map(|(r, _)| r).collect()
-}
+    // The replay's reports carry the recovery counters the fault claims
+    // read; the records themselves must match the first measurement.
+    let mut reports: Vec<(&Scenario, ServeReport)> = Vec::new();
+    for source in ["serve", "serve-faults"] {
+        let mut first = Vec::new();
+        let mut replay = Vec::new();
+        for s in scenarios.iter().filter(|s| s.source == source) {
+            let (record, _, report) = serve_trace(s);
+            first.push(by_id(&s.id).clone());
+            replay.push(record);
+            reports.push((s, report));
+        }
+        assert_eq!(
+            records_json(&first),
+            records_json(&replay),
+            "{source} records must replay byte-identically"
+        );
+    }
 
-/// The fault-injected serving gate points (`serve-faults/<name>`), the
-/// same scenarios `grid-tsqr check` pins as COMMCHECK lines:
-///
-/// * `crash-ckpt` / `crash-restart` — a site crash at t = 0.1 s virtual,
-///   recovered with checkpointed WAN drain vs full restart;
-/// * `crash-replan` — the same crash under a 4-site-wide shape, forcing
-///   elastic re-planning onto the three survivors;
-/// * `wan-brownout` — a degraded-WAN window plus transient drain drops,
-///   with aggressive watermarks so admission browns out and sheds.
-pub fn serve_fault_points() -> Vec<(&'static str, ServeConfig)> {
-    let base = ServeConfig {
-        requests: 30,
-        load: 1.0,
-        seed: 7,
-        ..Default::default()
-    };
-    let crash = FailureSchedule::new(1).crash_site(2, VirtualTime::from_secs(0.1));
-    vec![
-        (
-            "crash-ckpt",
-            ServeConfig { faults: crash.clone(), ..base.clone() },
-        ),
-        (
-            "crash-restart",
-            ServeConfig {
-                faults: crash.clone(),
-                retry: RetryPolicy { checkpoint_drain: false, ..Default::default() },
-                ..base.clone()
-            },
-        ),
-        (
-            "crash-replan",
-            ServeConfig { faults: crash, single_shape: Some(3), ..base.clone() },
-        ),
-        (
-            "wan-brownout",
-            ServeConfig {
-                requests: 40,
-                load: 0.5,
-                faults: (0..6)
-                    .fold(FailureSchedule::new(1), |s, nth| s.drop_nth_message(0, 2, nth))
-                    .degrade_all_wan(
-                        VirtualTime::from_secs(0.05),
-                        VirtualTime::from_secs(5.0),
-                        1.0,
-                        8.0,
-                    ),
-                retry: RetryPolicy { backoff_base_s: 0.2, ..Default::default() },
-                brownout: BrownoutConfig {
-                    enter_watermark: 1,
-                    exit_watermark: 0,
-                    shed_slack: 0.0,
-                },
-                ..base
-            },
-        ),
-    ]
-}
-
-/// Measures one fault-injected serving point. Column reuse matches
-/// [`measure_serve_point_full`]; the ledger source is `"serve-faults"` so
-/// the dashboard can segregate chaos runs from clean serving runs.
-fn measure_serve_fault_point(
-    name: &str,
-    cfg: &ServeConfig,
-) -> (BenchRecord, LedgerEntry, ServeReport) {
-    let catalog = ResourceCatalog::grid5000();
-    let outcome = run_serve(&catalog, cfg);
-    let report = ServeReport::from_outcome(&outcome);
-    let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
-    let record = BenchRecord {
-        id: format!("serve-faults/{name}"),
-        sites: catalog.clusters.len(),
-        m: total_rows,
-        n: 64,
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        model_residual: 0.0,
-    };
-    let entry = LedgerEntry {
-        seq: 0,
-        source: "serve-faults".into(),
-        scenario: format!("bench/serve-faults/{name}"),
-        sites: catalog.clusters.len(),
-        procs: catalog.total_procs(),
-        m: total_rows as usize,
-        n: 64,
-        tree: format!("serve-faults/{}", cfg.policy.label()),
-        makespan_s: report.horizon_s,
-        gflops: report.gflops,
-        msgs: report.msgs,
-        wan_msgs: report.wan_msgs,
-        bytes: report.bytes,
-        cp_compute_s: report.mean_sojourn_s,
-        cp_send_s: report.p99_sojourn_s,
-        cp_wan_msgs: report.slo_miss as u64,
-        wait_s: report.total_wait_s,
-        phases: Vec::new(),
-        fit: ModelCoeffs {
-            beta_s: 0.0,
-            alpha_s_per_word: 0.0,
-            gamma_s_per_flop: 0.0,
-            rel_residual: 0.0,
-        },
-        env: EnvFingerprint::current(),
-    };
-    (record, entry, report)
-}
-
-/// Measures every fault-injected serving gate point and asserts the
-/// recovery layer's headline claims on the freshly measured data:
-///
-/// * every crash scenario both faults *and* recovers (fault events and
-///   retried completions are nonzero, nothing fails permanently);
-/// * checkpointed drain beats full restart in mean sojourn on the same
-///   crash (the retry pays only the residual WAN drain);
-/// * the elastic re-plan scenario still completes every request even
-///   though its 4-site shape lost a site;
-/// * the degraded-WAN scenario actually browns out (sheds > 0, nonzero
-///   brownout seconds);
-/// * injecting faults is never free: each scenario's mean sojourn is
-///   strictly worse than its failure-free twin's;
-/// * a same-seed re-measure reproduces the records byte-identically.
-pub fn serve_fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
-    let points = serve_fault_points();
-    let all: Vec<(BenchRecord, LedgerEntry, ServeReport)> = points
-        .iter()
-        .map(|(name, cfg)| measure_serve_fault_point(name, cfg))
-        .collect();
-    let by = |name: &str| -> &ServeReport {
-        &all
-            .iter()
-            .find(|(r, _, _)| r.id == format!("serve-faults/{name}"))
-            .expect("fault gate point measured")
-            .2
+    let chaos = |name: &str| -> &ServeReport {
+        let id = format!("serve-faults/{name}");
+        &reports.iter().find(|(s, _)| s.id == id).expect("fault gate scenario measured").1
     };
     for name in ["crash-ckpt", "crash-restart", "crash-replan"] {
-        let rep = by(name);
+        let rep = chaos(name);
         assert!(rep.fault_events > 0, "{name}: the scripted crash must fault someone");
         assert!(rep.retried_completions > 0, "{name}: faulted jobs must recover via retry");
         assert_eq!(rep.failed_permanent, 0, "{name}: the retry budget suffices here");
     }
     assert!(
-        by("crash-ckpt").mean_sojourn_s <= by("crash-restart").mean_sojourn_s,
+        chaos("crash-ckpt").mean_sojourn_s <= chaos("crash-restart").mean_sojourn_s,
         "checkpointed drain must not lose to full restart ({} vs {})",
-        by("crash-ckpt").mean_sojourn_s,
-        by("crash-restart").mean_sojourn_s
+        chaos("crash-ckpt").mean_sojourn_s,
+        chaos("crash-restart").mean_sojourn_s
     );
-    let replan = by("crash-replan");
+    let replan = chaos("crash-replan");
     assert_eq!(
         replan.completed, 30,
         "elastic re-planning must complete every 4-site request on 3 survivors"
     );
-    let brown = by("wan-brownout");
+    let brown = chaos("wan-brownout");
     assert!(brown.shed > 0, "degraded WAN must drive brownout shedding");
     assert!(brown.brownout_s > 0.0, "brownout must stay open for measurable virtual time");
-    for ((name, cfg), (_, _, faulty)) in points.iter().zip(&all) {
-        let clean = ServeReport::from_outcome(&run_serve(
-            &ResourceCatalog::grid5000(),
-            &ServeConfig { faults: FailureSchedule::default(), ..cfg.clone() },
-        ));
-        if *name == "crash-replan" {
+    for (s, faulty) in reports.iter().filter(|(s, _)| s.source == "serve-faults") {
+        let name = &s.id;
+        let clean = serve_trace(&s.clean_twin()).2;
+        if name == "serve-faults/crash-replan" {
             // Re-planning is the one fault response that can come out
             // net *faster*: the 3-survivor trees are narrower, so each
             // drain crosses fewer contended WAN links. The structural
@@ -935,22 +798,6 @@ pub fn serve_fault_bench_records_full() -> Vec<(BenchRecord, LedgerEntry)> {
             );
         }
     }
-    let first: Vec<BenchRecord> = all.iter().map(|(r, _, _)| r.clone()).collect();
-    let replay: Vec<BenchRecord> = points
-        .iter()
-        .map(|(name, cfg)| measure_serve_fault_point(name, cfg).0)
-        .collect();
-    assert_eq!(
-        records_json(&first),
-        records_json(&replay),
-        "serve-fault records must replay byte-identically"
-    );
-    all.into_iter().map(|(r, e, _)| (r, e)).collect()
-}
-
-/// Measures every fault-injected serving gate point (records only).
-pub fn serve_fault_bench_records() -> Vec<BenchRecord> {
-    serve_fault_bench_records_full().into_iter().map(|(r, _)| r).collect()
 }
 
 /// Serializes records as the `BENCH_results.json` document (schema
@@ -1089,6 +936,8 @@ pub fn compare_records(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -1155,39 +1004,52 @@ mod tests {
     }
 
     #[test]
-    fn fault_registry_scenarios_are_well_formed() {
-        let pts = fault_points();
-        assert!(!pts.is_empty());
-        for p in &pts {
-            assert!(p.id().starts_with("faults/"));
-            assert!(p.window_s.0 < p.window_s.1);
-            assert!(p.latency_factor >= 1.0 && p.bandwidth_divisor >= 1.0);
-            assert!(p.latency_factor > 1.0 || p.bandwidth_divisor > 1.0);
-            let _ = p.schedule(); // builder asserts its own invariants
+    fn scenario_registry_is_well_formed_and_matches_the_baseline() {
+        let all = scenarios();
+        let ids: Vec<&str> = all.iter().map(|s| s.id.as_str()).collect();
+        let unique: BTreeSet<&str> = ids.iter().copied().collect();
+        assert_eq!(unique.len(), ids.len(), "scenario ids must be unique");
+        let baseline = parse_records(include_str!("../../../BENCH_baseline.json")).unwrap();
+        let committed: Vec<&str> = baseline.iter().map(|r| r.id.as_str()).collect();
+        assert_eq!(ids, committed, "scenarios() must list BENCH_baseline.json's ids in order");
+
+        let mut degraded = 0;
+        for s in &all {
+            if let Run::Traced(_, Some(w)) = &s.run {
+                assert!(s.id.starts_with("faults/"));
+                assert!(w.window_s.0 < w.window_s.1);
+                assert!(w.latency_factor >= 1.0 && w.bandwidth_divisor >= 1.0);
+                assert!(w.latency_factor > 1.0 || w.bandwidth_divisor > 1.0);
+                let _ = w.schedule(); // builder asserts its own invariants
+                degraded += 1;
+            }
         }
-        let mut ids: Vec<String> = pts.iter().map(FaultPoint::id).collect();
-        ids.dedup();
-        assert_eq!(ids.len(), pts.len(), "scenario ids must be unique");
+        assert!(degraded > 0);
     }
 
     #[test]
     fn degraded_scenario_keeps_traffic_and_slows_the_clock() {
         // A down-scaled twin of the registered scenarios: cheap enough
         // for unit tests, same invariants.
-        let p = FaultPoint {
+        let point = FigurePoint {
+            figure: "faults",
             label: "test",
             sites: 2,
             m: 1 << 17,
             n: 64,
             algorithm: TSQR64,
+        };
+        let wan = WanDegradation {
             window_s: (0.0, 60.0),
             latency_factor: 10.0,
             bandwidth_divisor: 10.0,
         };
-        let clean = measure_fault_clean(&p);
-        let slow = measure_fault_point(&p);
-        assert_eq!(clean.id, "faults/test-clean");
+        let degraded =
+            Scenario { id: point.id(), source: "faults", run: Run::Traced(point, Some(wan)) };
+        let (clean, _) = measure(&degraded.clean_twin());
+        let (slow, entry) = measure(&degraded);
         assert_eq!(slow.id, "faults/test");
+        assert_eq!(entry.source, "faults");
         assert_eq!(
             (clean.msgs, clean.wan_msgs, clean.bytes),
             (slow.msgs, slow.wan_msgs, slow.bytes),
@@ -1197,9 +1059,9 @@ mod tests {
     }
 
     #[test]
-    fn measure_point_smoke_on_a_small_config() {
+    fn measure_smoke_on_a_small_config() {
         // A tiny single-site TSQR point: cheap enough for unit tests and
-        // exercises the full traced-measurement path including the two
+        // exercises the full traced-measurement path including the
         // embedded invariants.
         let p = FigurePoint {
             figure: "fig7",
@@ -1209,10 +1071,11 @@ mod tests {
             n: 64,
             algorithm: TSQR64,
         };
-        let r = measure_point(&p);
+        let (r, entry) = measure(&p.scenario());
         assert!(r.makespan_s > 0.0 && r.gflops > 0.0);
         assert!(r.msgs > 0);
         assert_eq!(r.wan_msgs, 0, "single site has no WAN traffic");
         assert!(r.model_residual >= 0.0);
+        assert_eq!(entry.source, "figure");
     }
 }

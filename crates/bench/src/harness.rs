@@ -203,7 +203,7 @@ pub fn run_figure(figure: &str) {
         return;
     }
     let measured: Vec<_> =
-        points.iter().map(crate::figures::measure_point_full).collect();
+        points.iter().map(|p| crate::figures::measure(&p.scenario())).collect();
     if let Some(dir) = bench_out {
         let records: Vec<_> = measured.iter().map(|(r, _)| r.clone()).collect();
         let out = std::path::Path::new(&dir).join(format!("BENCH_{figure}.json"));

@@ -30,8 +30,9 @@
 //! critical path and per-phase Eq. (1) ledger (see `docs/observability.md`).
 //! Set `GRID_TSQR_BENCH_OUT=<dir>` to have the same binaries emit their
 //! headline points as `BENCH_<fig>.json` perf-gate records; the `bench_check`
-//! binary (driven by `scripts/bench_check.sh`) measures every registered
-//! point and diffs it against the committed `BENCH_baseline.json`.
+//! binary (driven by `scripts/bench_check.sh`) measures every scenario of
+//! the registry in `figures` and diffs it against the committed
+//! `BENCH_baseline.json`.
 //!
 //! The sweeps execute the *actual distributed schedules* of the algorithms
 //! (symbolic payloads, real message passing, virtual clocks priced with the
@@ -44,17 +45,8 @@
 pub mod calib;
 pub mod figures;
 pub mod harness;
-pub mod json;
 
-pub use figures::{
-    all_figures, bench_records, bench_records_full, compare_records, fault_bench_records,
-    fault_bench_records_full, fault_points, figure_points, ledger_entry,
-    measure_fault_clean, measure_fault_point, measure_fault_point_full, measure_point,
-    measure_point_full, measure_serve_point_full, measure_tune_point_full, parse_records,
-    records_json, serve_bench_records, serve_bench_records_full, serve_fault_bench_records,
-    serve_fault_bench_records_full, serve_fault_points, serve_points, tune_bench_records_full,
-    BenchRecord, FaultPoint, FigurePoint, ServePoint,
-};
+pub use figures::{ledger_entry, serve_ledger_entry};
 pub use harness::{
     domain_options, dump_traced_point, grid_runtime, paper_m_values, print_series_table,
     run_figure, save_series_tsv, scalapack_gflops, trace_out_arg, tsqr_best_gflops,

@@ -79,8 +79,9 @@ impl PhaseRow {
     }
 }
 
-/// Fitted Eq. (1) coefficients recorded with a run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Fitted Eq. (1) coefficients recorded with a run (all zeros when the
+/// run has no fit).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ModelCoeffs {
     /// Per-message latency cost (seconds per message), the β term.
     pub beta_s: f64,

@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
-# Perf-regression gate: measures every registered headline point of
-# Figs. 4-8 (deterministic simulation) and compares the records against
-# the committed BENCH_baseline.json. See docs/observability.md for the
-# record schema and the tolerances.
+# Perf-regression gate: measures every scenario of the registry in
+# crates/bench/src/figures.rs (deterministic simulation) and compares the
+# records against the committed BENCH_baseline.json. The 24 records come
+# in five families: the Figs. 4-8 headline points, WAN-degradation
+# faults, autotuned trees, serving points and fault-injected serving
+# points. See docs/observability.md for the record schema and the
+# tolerances.
 #
 # Usage:
 #   scripts/bench_check.sh            # measure and compare; exit 1 on drift

@@ -121,7 +121,7 @@ use grid_tsqr::serve::{
     BrownoutConfig, Policy as ServePolicy, PolicyReport, RetryPolicy, ServeConfig,
 };
 use grid_tsqr::obs::report::{detect_anomalies, render_report, ReportOptions};
-use tsqr_bench::{calib, grid_runtime, ledger_entry};
+use tsqr_bench::{calib, grid_runtime, ledger_entry, serve_ledger_entry};
 
 struct Args {
     flags: Vec<(String, Option<String>)>,
@@ -674,39 +674,15 @@ fn run() -> Result<String, String> {
             // critical-path columns for queueing statistics — the mapping
             // is documented in docs/serving.md §Ledger.
             if let Some(path) = &ledger {
-                let total_rows: u64 = outcome.records.iter().map(|r| r.request.rows).sum();
-                let entry = grid_tsqr::obs::ledger::LedgerEntry {
-                    seq: 0,
-                    source: if faulty { "serve-faults".into() } else { "serve".into() },
-                    scenario: format!(
-                        "cli/{}/{}-load{load:.2}{}",
-                        if faulty { "serve-faults" } else { "serve" },
-                        policy.label(),
-                        if cfg.batch { "-batch" } else { "" }
-                    ),
-                    sites: catalog.clusters.len(),
-                    procs: catalog.total_procs(),
-                    m: total_rows as usize,
-                    n: 64,
-                    tree: format!("serve/{}", policy.label()),
-                    makespan_s: report.horizon_s,
-                    gflops: report.gflops,
-                    msgs: report.msgs,
-                    wan_msgs: report.wan_msgs,
-                    bytes: report.bytes,
-                    cp_compute_s: report.mean_sojourn_s,
-                    cp_send_s: report.p99_sojourn_s,
-                    cp_wan_msgs: report.slo_miss as u64,
-                    wait_s: report.total_wait_s,
-                    phases: Vec::new(),
-                    fit: grid_tsqr::obs::ledger::ModelCoeffs {
-                        beta_s: 0.0,
-                        alpha_s_per_word: 0.0,
-                        gamma_s_per_flop: 0.0,
-                        rel_residual: 0.0,
-                    },
-                    env: grid_tsqr::obs::ledger::EnvFingerprint::current(),
-                };
+                let source = if faulty { "serve-faults" } else { "serve" };
+                let scenario = format!(
+                    "cli/{source}/{}-load{load:.2}{}",
+                    policy.label(),
+                    if cfg.batch { "-batch" } else { "" }
+                );
+                let tree = format!("serve/{}", policy.label());
+                let entry =
+                    serve_ledger_entry(source, &scenario, &tree, &catalog, &outcome, &report);
                 let seq = append_entry(path, entry)?;
                 out.push_str(&format!("ledger: entry {seq} appended to {}\n", path.display()));
             }
