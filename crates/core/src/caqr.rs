@@ -124,50 +124,22 @@ impl CaqrFactors {
         &self.r
     }
 
-    /// `C := Qᵀ·C` in place (`C` must have `m` rows).
-    pub fn apply_qt(&self, c: &mut Matrix) {
-        assert_eq!(c.rows(), self.m, "apply_qt: row mismatch");
-        for panel in &self.panels {
-            self.apply_panel(panel, c, Trans::Yes);
-        }
-    }
-
-    /// `C := Q·C` in place (`C` must have `m` rows).
+    /// `C := Q·C` in place (`C` must have `m` rows): the panels'
+    /// eliminations undone in reverse, each before its diagonal block.
     pub fn apply_q(&self, c: &mut Matrix) {
         assert_eq!(c.rows(), self.m, "apply_q: row mismatch");
-        for panel in self.panels.iter().rev() {
-            self.apply_panel(panel, c, Trans::No);
-        }
-    }
-
-    fn apply_panel(&self, panel: &PanelFactors, c: &mut Matrix, trans: Trans) {
         let k = c.cols();
-        let apply_diag = |c: &mut Matrix| {
+        for panel in self.panels.iter().rev() {
+            for (blk0, blk_rows, f) in panel.eliminations.iter().rev() {
+                let mut c1 = c.sub_matrix(panel.row0, 0, panel.width, k);
+                let mut c2 = c.sub_matrix(*blk0, 0, *blk_rows, k);
+                tpmqrt_dense(Trans::No, f, &mut c1, &mut c2);
+                c.set_sub(panel.row0, 0, &c1);
+                c.set_sub(*blk0, 0, &c2);
+            }
             let mut block = c.sub_matrix(panel.row0, 0, panel.diag_rows, k);
-            orm2r(Side::Left, trans, &panel.diag.factors.view(), &panel.diag.tau, &mut block.view_mut());
+            orm2r(Side::Left, Trans::No, &panel.diag.factors.view(), &panel.diag.tau, &mut block.view_mut());
             c.set_sub(panel.row0, 0, &block);
-        };
-        let apply_elim = |c: &mut Matrix, (blk0, blk_rows, f): &(usize, usize, DenseStackedFactors)| {
-            let mut c1 = c.sub_matrix(panel.row0, 0, panel.width, k);
-            let mut c2 = c.sub_matrix(*blk0, 0, *blk_rows, k);
-            tpmqrt_dense(trans, f, &mut c1, &mut c2);
-            c.set_sub(panel.row0, 0, &c1);
-            c.set_sub(*blk0, 0, &c2);
-        };
-        match trans {
-            Trans::Yes => {
-                // Qᵀ = (… Q2ᵀ Q1ᵀ Q0ᵀ): diagonal first, eliminations in order.
-                apply_diag(c);
-                for e in &panel.eliminations {
-                    apply_elim(c, e);
-                }
-            }
-            Trans::No => {
-                for e in panel.eliminations.iter().rev() {
-                    apply_elim(c, e);
-                }
-                apply_diag(c);
-            }
         }
     }
 
@@ -236,36 +208,6 @@ mod tests {
     fn dims_not_multiple_of_tiles() {
         let a = workload::full_matrix(55, 29, 13);
         check(&a, 5, 7);
-    }
-
-    #[test]
-    fn qt_then_q_is_identity() {
-        let a = workload::full_matrix(56, 30, 12);
-        let f = caqr(&a, 4, 10);
-        let c0 = workload::full_matrix(57, 30, 5);
-        let mut c = c0.clone();
-        f.apply_qt(&mut c);
-        f.apply_q(&mut c);
-        assert!(c.approx_eq(&c0, 1e-11));
-    }
-
-    #[test]
-    fn qt_a_equals_r() {
-        let a = workload::full_matrix(58, 27, 9);
-        let f = caqr(&a, 3, 9);
-        let mut c = a.clone();
-        f.apply_qt(&mut c);
-        for i in 0..9 {
-            for j in 0..9 {
-                let want = if i <= j { f.r()[(i, j)] } else { 0.0 };
-                assert!((c[(i, j)] - want).abs() < 1e-10);
-            }
-        }
-        for i in 9..27 {
-            for j in 0..9 {
-                assert!(c[(i, j)].abs() < 1e-10, "rows below N must vanish");
-            }
-        }
     }
 
     #[test]

@@ -116,6 +116,8 @@ fn panel_participants(
     std::iter::once(root).chain(rest).collect()
 }
 
+// archlint: allow(reach) — the numeric twin: the unit tests check its R
+// against a single-process QR and the symbolic program's traffic against it.
 /// The rank program of a numerically real distributed CAQR (R only) on
 /// the seeded random workload.
 pub fn caqr_dist_rank_program(

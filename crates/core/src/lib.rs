@@ -37,8 +37,6 @@
 //!   the experiment §VI says "we will need to perform".
 //! * [`cholqr`] — the communication-matched but unstable CholeskyQR
 //!   baseline (§II-E's "unstable orthogonalization schemes").
-//! * [`tslu`] / [`calu`] — TSLU with tournament pivoting and the blocked
-//!   CALU built on it (§VI's "trivially extended to TSLU/CALU").
 //! * [`lstsq`] — distributed least squares: `(R, c)` pairs up the tuned
 //!   tree, one triangular solve at the root.
 //! * [`model`] — Tables I and II, Eq. (1), Properties 1–5.
@@ -84,7 +82,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod calu;
 pub mod caqr;
 pub mod caqr_dist;
 pub mod cholqr;
@@ -98,7 +95,6 @@ pub mod modelfit;
 pub mod oocqr;
 pub mod scalapack;
 pub mod tree;
-pub mod tslu;
 pub mod tsqr;
 pub mod tune;
 pub mod workload;

@@ -166,21 +166,6 @@ impl StreamingQr {
     }
 }
 
-/// One-call out-of-core QR of the seeded workload matrix, streaming in
-/// blocks of `block_rows`: returns the R factor while never holding more
-/// than one block in memory.
-pub fn oocqr_workload(seed: u64, m: u64, n: usize, block_rows: usize) -> Matrix {
-    let mut acc = StreamingQr::new(n);
-    let mut row0 = 0u64;
-    while row0 < m {
-        let rows = (block_rows as u64).min(m - row0).max(if row0 == 0 { n as u64 } else { 1 });
-        let block = crate::workload::block(seed, row0, rows as usize, n);
-        acc.push_block(&block, None);
-        row0 += rows;
-    }
-    acc.r().clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,11 +178,23 @@ mod tests {
             .upper_triangular_padded()
     }
 
+    /// Streams the seeded workload matrix in blocks of `block_rows`.
+    fn stream_workload(seed: u64, m: u64, n: usize, block_rows: usize) -> Matrix {
+        let mut acc = StreamingQr::new(n);
+        let mut row0 = 0u64;
+        while row0 < m {
+            let rows = (block_rows as u64).min(m - row0).max(if row0 == 0 { n as u64 } else { 1 });
+            acc.push_block(&workload::block(seed, row0, rows as usize, n), None);
+            row0 += rows;
+        }
+        acc.r().clone()
+    }
+
     #[test]
     fn streaming_r_matches_reference_for_various_block_sizes() {
         let (m, n, seed) = (500u64, 7usize, 121u64);
         for block_rows in [7usize, 16, 100, 500, 333] {
-            let r = oocqr_workload(seed, m, n, block_rows);
+            let r = stream_workload(seed, m, n, block_rows);
             assert!(
                 r_distance(&r, &reference_r(seed, m as usize, n)) < 1e-10,
                 "block_rows = {block_rows}"

@@ -21,7 +21,7 @@ use tsqr_gridmpi::message::Phantom;
 use tsqr_gridmpi::{CommError, Communicator, Process};
 use tsqr_linalg::flops;
 use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::{orm2r, Side, Trans};
+use tsqr_linalg::qr::{orm2r, Side, Trans, DEFAULT_NB};
 use tsqr_linalg::stacked::StackedFactors;
 use tsqr_linalg::Matrix;
 
@@ -41,8 +41,6 @@ pub const PHASE_LEAF: &str = "leaf-qr";
 pub const PHASE_REDUCE: &str = "tree-reduce";
 /// Metrics/trace phase: explicit-Q down-sweep.
 pub const PHASE_DOWNSWEEP: &str = "q-downsweep";
-/// Metrics/trace phase: butterfly allreduce rounds.
-pub const PHASE_ALLREDUCE: &str = "allreduce";
 
 /// Configuration of a QCG-TSQR run.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +49,6 @@ pub struct TsqrConfig {
     pub shape: TreeShape,
     /// Domains per cluster (the knob of Figs. 6–7).
     pub domains_per_cluster: usize,
-    /// Panel width of the local blocked QR at single-process leaves.
-    pub nb: usize,
     /// Also reconstruct the explicit Q factor (requires single-process
     /// domains).
     pub compute_q: bool,
@@ -69,7 +65,6 @@ impl Default for TsqrConfig {
         TsqrConfig {
             shape: TreeShape::GridHierarchical,
             domains_per_cluster: 1,
-            nb: tsqr_linalg::qr::DEFAULT_NB,
             compute_q: false,
             combine_rate_flops: None,
         }
@@ -167,7 +162,7 @@ pub fn tsqr_rank_program_with(
     let mut leaf_q: Option<QrFactors> = None;
     let mut r_cur: Option<Matrix>;
     if dom.ranks.len() == 1 {
-        let f = QrFactors::compute(&local, cfg.nb);
+        let f = QrFactors::compute(&local, DEFAULT_NB);
         p.compute(flops::geqrf(rows, n as u64), rate_flops);
         r_cur = Some(f.r().upper_triangular_padded());
         leaf_q = Some(f);
@@ -319,102 +314,6 @@ pub fn tsqr_rank_program_symbolic(
         p.phase_end();
     }
     Ok(())
-}
-
-/// Butterfly (recursive-doubling) TSQR: the literal "single complex
-/// **allreduce** operation" of §II-C — on exit *every* domain root holds
-/// the global R factor, in `log₂(D)` full-duplex exchange rounds.
-///
-/// Both partners of an exchange combine the same ordered pair
-/// (lower-index domain's R first), so all copies of the result are
-/// bit-identical. Useful when every rank needs R — e.g. CholeskyQR-style
-/// normalization `Q = A·R⁻¹` without a broadcast, or iterative methods
-/// that re-scale locally. Requires single-process domains.
-pub fn tsqr_allreduce_rank_program_with(
-    p: &mut Process,
-    layout: &DomainLayout,
-    cfg: &TsqrConfig,
-    rate_flops: Option<f64>,
-    local_block: impl FnOnce(u64, usize) -> Matrix,
-) -> Result<Matrix, CommError> {
-    let n = layout.n;
-    let d = layout
-        .domain_of_rank(p.rank())
-        .unwrap_or_else(|| panic!("rank {} is in no domain", p.rank()));
-    let dom = &layout.domains[d];
-    assert_eq!(dom.ranks.len(), 1, "the allreduce variant needs single-process domains");
-    let (row0, rows) = (dom.row0, dom.rows);
-    let local = local_block(row0, rows as usize);
-    assert_eq!(local.shape(), (rows as usize, n), "local_block returned the wrong shape");
-    let roots = layout.roots();
-    let n_dom = layout.num_domains();
-
-    p.phase_begin(PHASE_LEAF);
-    let f = QrFactors::compute(&local, cfg.nb);
-    p.compute(flops::geqrf(rows, n as u64), rate_flops);
-    let mut r = f.r().upper_triangular_padded();
-    p.phase_end();
-    p.phase_begin(PHASE_ALLREDUCE);
-
-    // Deterministic pairwise combine: the lower-index domain's R is R1.
-    let combine = |mine_d: usize, their_d: usize, mine: &Matrix, theirs: &Matrix| {
-        let (mut r1, mut r2) = if mine_d < their_d {
-            (mine.clone(), theirs.clone())
-        } else {
-            (theirs.clone(), mine.clone())
-        };
-        tpqrt(&mut r1, &mut r2);
-        r1.upper_triangular_padded()
-    };
-
-    // Fold-in for non-powers-of-two (same scheme as the collective).
-    let pof2 = if n_dom.is_power_of_two() {
-        n_dom
-    } else {
-        n_dom.next_power_of_two() / 2
-    };
-    let rem = n_dom - pof2;
-    let newidx: Option<usize> = if d < 2 * rem {
-        if d.is_multiple_of(2) {
-            p.send(roots[d + 1], TAG_R, pack_upper(&r))?;
-            None
-        } else {
-            let theirs = unpack_upper(n, &p.recv::<Vec<f64>>(roots[d - 1], TAG_R)?);
-            r = combine(d, d - 1, &r, &theirs);
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-            Some(d / 2)
-        }
-    } else {
-        Some(d - rem)
-    };
-
-    if let Some(me) = newidx {
-        let mut mask = 1usize;
-        while mask < pof2 {
-            let partner_new = me ^ mask;
-            let partner_d = if partner_new < rem {
-                partner_new * 2 + 1
-            } else {
-                partner_new + rem
-            };
-            let got = p.exchange(roots[partner_d], TAG_R, pack_upper(&r))?;
-            let theirs = unpack_upper(n, &got);
-            r = combine(d, partner_d, &r, &theirs);
-            p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
-            mask <<= 1;
-        }
-    }
-
-    // Fold-out: push the result back to the folded-away domains.
-    if d < 2 * rem {
-        if d.is_multiple_of(2) {
-            r = unpack_upper(n, &p.recv::<Vec<f64>>(roots[d + 1], TAG_R)?);
-        } else {
-            p.send(roots[d - 1], TAG_R, pack_upper(&r))?;
-        }
-    }
-    p.phase_end();
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -603,7 +502,8 @@ mod tests {
         // Critical path: depth of the tree = log₂(8) = 3 sequential
         // combines at the root; the root receives 3 messages.
         assert_eq!(report.ranks[0].stats.traffic.total_msgs(), 0, "root only receives");
-        assert_eq!(report.max_msgs_per_rank(), 1, "each non-root sends exactly once");
+        let max_sent = report.ranks.iter().map(|r| r.stats.traffic.total_msgs()).max();
+        assert_eq!(max_sent, Some(1), "each non-root sends exactly once");
     }
 
     #[test]
@@ -623,47 +523,6 @@ mod tests {
             (1.7..=2.3).contains(&ratio),
             "Property 1: Q+R should cost about twice R-only, got {ratio}"
         );
-    }
-
-    #[test]
-    fn allreduce_variant_gives_everyone_the_same_r() {
-        let (m, n) = (384u64, 6usize);
-        for (clusters, procs) in [(1usize, 4usize), (2, 4), (1, 3), (3, 2), (1, 1), (1, 5)] {
-            let rt = mini_grid(clusters, procs);
-            let layout = DomainLayout::build(rt.topology(), m, n, procs);
-            let cfg = TsqrConfig { domains_per_cluster: procs, ..Default::default() };
-            let report = rt.run(|p, _| {
-                tsqr_allreduce_rank_program_with(p, &layout, &cfg, None, |r0, r| {
-                    workload::block(53, r0, r, n)
-                })
-            });
-            let rs: Vec<Matrix> =
-                report.ranks.iter().map(|r| r.result.clone().unwrap()).collect();
-            for r in &rs[1..] {
-                assert!(r.approx_eq(&rs[0], 0.0), "all copies must be bit-identical");
-            }
-            assert!(
-                r_distance(&rs[0], &reference_r(53, m as usize, n)) < 1e-10,
-                "clusters={clusters} procs={procs}"
-            );
-        }
-    }
-
-    #[test]
-    fn allreduce_variant_message_count_is_log2() {
-        let (m, n, procs) = (512u64, 4usize, 8usize);
-        let rt = mini_grid(1, procs);
-        let layout = DomainLayout::build(rt.topology(), m, n, procs);
-        let cfg = TsqrConfig { domains_per_cluster: procs, ..Default::default() };
-        let report = rt.run(|p, _| {
-            tsqr_allreduce_rank_program_with(p, &layout, &cfg, None, |r0, r| {
-                workload::block(59, r0, r, n)
-            })
-            .map(|_| p.counters().total_msgs())
-        });
-        for r in &report.ranks {
-            assert_eq!(*r.result.as_ref().unwrap(), 3, "log2(8) exchanges per rank");
-        }
     }
 
     #[test]

@@ -90,30 +90,6 @@ impl Histogram {
         }
     }
 
-    /// An upper bound on the `q`-quantile (`0.0 ≤ q ≤ 1.0`): the top of
-    /// the first bucket at which the cumulative count reaches
-    /// `q · count`, capped at the largest recorded sample so the bound
-    /// never exceeds a value that was actually seen. Exact to within the
-    /// log2 bucket width; 0 when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                // Top of bucket i (0 for bucket 0, else 2^i - 1), but
-                // never above the recorded max.
-                let top = if i == 0 { 0 } else { ((1u128 << i) - 1) as u64 };
-                return top.min(self.max);
-            }
-        }
-        self.max
-    }
-
     /// Element-wise sum of two histograms.
     pub fn merge(&mut self, other: &Histogram) {
         for i in 0..self.counts.len() {
@@ -138,8 +114,7 @@ pub struct PhaseCounters {
     pub flops: u64,
     /// Virtual seconds spent in blocking sends, per link-class bucket.
     pub send_s: [f64; B],
-    /// Virtual seconds spent in [`crate::Process::compute`] (and
-    /// [`crate::Process::advance`]).
+    /// Virtual seconds spent in [`crate::Process::compute`].
     pub compute_s: f64,
     /// Virtual seconds the rank's clock was blocked waiting in receives
     /// — idle time, in the sense of the paper's timeline figures.
@@ -339,24 +314,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 1024);
         assert!((h.mean() - 1041.0 / 6.0).abs() < 1e-12);
-        // Median of [0,1,1,7,8,1024] lands in the bucket of 1 (bit len 1).
-        assert_eq!(h.quantile(0.5), 1);
-        assert_eq!(h.quantile(1.0), 1024); // bucket top 2047, capped at max
-        assert_eq!(h.quantile(0.0), 0);
-    }
-
-    #[test]
-    fn quantile_never_exceeds_recorded_max() {
-        let mut h = Histogram::default();
-        h.record(1000); // bucket top is 1023
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert!(h.quantile(q) <= 1000, "q={q} gave {}", h.quantile(q));
-        }
-        assert_eq!(h.quantile(1.0), 1000);
-        // Empty histogram: every quantile is 0, no panic.
-        let e = Histogram::default();
-        assert_eq!(e.quantile(0.5), 0);
-        assert_eq!(e.quantile(1.0), 0);
     }
 
     #[test]
@@ -383,7 +340,6 @@ mod tests {
         assert_eq!(d.min(), 0);
         assert_eq!(d.max(), 0);
         assert_eq!(d.count(), 0);
-        assert_eq!(d.quantile(0.9), 0);
     }
 
     #[test]
@@ -393,7 +349,6 @@ mod tests {
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.9), 0);
     }
 
     #[test]

@@ -237,13 +237,6 @@ impl Process {
         self.counters
     }
 
-    /// Advances the clock by an explicit span (e.g. externally-modelled
-    /// work). Metered as compute time of the current phase.
-    pub fn advance(&mut self, dt: VirtualTime) {
-        self.clock += dt;
-        self.metrics.record_compute(self.current_phase(), 0, dt.secs());
-    }
-
     /// Opens a named algorithm phase. Phases nest (innermost wins for
     /// event stamping and metrics attribution) and must be closed with
     /// [`Process::phase_end`]; the runtime closes any phase left open
@@ -353,18 +346,6 @@ impl Process {
     /// The failure schedule in force (empty by default).
     pub fn failure_schedule(&self) -> &FailureSchedule {
         &self.schedule
-    }
-
-    /// True when `peer` is known dead (its tombstone was observed).
-    pub fn is_dead(&self, peer: usize) -> bool {
-        self.dead.contains_key(&peer)
-    }
-
-    /// All peers currently known dead, ascending.
-    pub fn known_dead(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.dead.keys().copied().collect();
-        v.sort_unstable();
-        v
     }
 
     /// The virtual-time failure-detection deadline for `peer`: a silent
@@ -743,11 +724,6 @@ impl Process {
                 kind: EventKind::Fault { peer, class, kind: FaultKind::DeadlockSuspect },
             });
         }
-    }
-
-    /// This rank's current vector clock (see [`crate::hb`]).
-    pub fn vector_clock(&self) -> &VectorClock {
-        &self.vc
     }
 
     /// Combined exchange with a partner: send ours, receive theirs.

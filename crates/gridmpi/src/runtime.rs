@@ -77,11 +77,6 @@ impl<T> RunOutcome<T> {
         self.failures.iter().map(|&(r, _)| r).collect()
     }
 
-    /// The surviving value of `rank`, if it survived.
-    pub fn survivor(&self, rank: usize) -> Option<&T> {
-        self.survivors.iter().find(|&&(r, _)| r == rank).map(|(_, v)| v)
-    }
-
     /// One-line human summary (`"64 ok, 1 failed: rank 37 crashed …"`).
     ///
     /// When tracing was enabled and some rank timed out on the
@@ -120,9 +115,8 @@ impl<T> RunOutcome<T> {
 impl<T> RunReport<T> {
     /// Converts the report into a structured [`RunOutcome`], partitioning
     /// ranks into survivors and failures while keeping everyone's partial
-    /// metrics, counters and trace. This is the non-panicking join —
-    /// prefer it over [`RunReport::unwrap_results`] whenever a failure
-    /// schedule is in force.
+    /// metrics, counters and trace. This is the non-panicking join to
+    /// use whenever a failure schedule is in force.
     pub fn outcome(self) -> RunOutcome<T> {
         let mut survivors = Vec::new();
         let mut failures = Vec::new();
@@ -140,42 +134,6 @@ impl<T> RunReport<T> {
             metrics: self.metrics,
             trace: self.trace,
         }
-    }
-
-    /// Unwraps every rank's result.
-    ///
-    /// # Panics
-    /// Panics when any rank failed, listing **all** failed ranks with
-    /// their typed errors (not just the first). Code that expects
-    /// failures should use [`RunReport::outcome`] instead.
-    pub fn unwrap_results(self) -> Vec<T> {
-        let failed: Vec<String> = self
-            .ranks
-            .iter()
-            .enumerate()
-            .filter_map(|(r, rr)| rr.result.as_ref().err().map(|e| format!("rank {r}: {e}")))
-            .collect();
-        assert!(
-            failed.is_empty(),
-            "{} rank(s) failed (use RunReport::outcome() for a structured join):\n  {}",
-            failed.len(),
-            failed.join("\n  ")
-        );
-        self.ranks
-            .into_iter()
-            .map(|rr| rr.result.expect("checked above"))
-            .collect()
-    }
-
-    /// The result of rank 0 (where reductions root by convention).
-    pub fn root_result(&self) -> &Result<T, CommError> {
-        &self.ranks[0].result
-    }
-
-    /// Critical-path message count: the maximum number of messages sent by
-    /// any single rank (a per-rank proxy used by tree-shape tests).
-    pub fn max_msgs_per_rank(&self) -> u64 {
-        self.ranks.iter().map(|r| r.stats.traffic.total_msgs()).max().unwrap_or(0)
     }
 
     /// Folds every rank's [`MetricsRegistry`] into one run-wide registry
@@ -225,11 +183,6 @@ impl Runtime {
     pub fn set_delivery_order(&mut self, order: DeliveryOrder) -> &mut Self {
         self.delivery = order;
         self
-    }
-
-    /// The delivery order in force.
-    pub fn delivery_order(&self) -> DeliveryOrder {
-        self.delivery
     }
 
     /// Records every send/receive/compute with its virtual-time span; the
@@ -767,7 +720,7 @@ mod tests {
         use crate::process::DETECTION_LATENCY_FACTOR;
         use crate::trace::{EventKind, FaultKind};
         let mut rt = tiny_grid(1, 2, 1);
-        let crash_at = VirtualTime::from_millis(5.0);
+        let crash_at = VirtualTime::from_secs(0.005);
         rt.set_failure_schedule(FailureSchedule::new(0).crash_rank(0, crash_at));
         rt.enable_tracing();
         let report = rt.run(|p, _| {
@@ -886,7 +839,7 @@ mod tests {
             let mut rt = tiny_grid(2, 2, 1);
             rt.set_failure_schedule(
                 FailureSchedule::new(9)
-                    .crash_rank(3, VirtualTime::from_millis(2.0))
+                    .crash_rank(3, VirtualTime::from_secs(0.002))
                     .drop_nth_message(0, 1, 0)
                     .drop_probability(1, 2, 0.5),
             );
@@ -951,7 +904,7 @@ mod tests {
         // so the error stays a bare Timeout).
         let mut rt = tiny_grid(1, 4, 1);
         rt.set_failure_schedule(
-            FailureSchedule::new(0).crash_rank(1, VirtualTime::from_millis(0.0)),
+            FailureSchedule::new(0).crash_rank(1, VirtualTime::ZERO),
         );
         rt.set_recv_timeout(Duration::from_millis(200));
         let report = rt.run(|p, _| match p.rank() {

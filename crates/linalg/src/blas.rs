@@ -54,36 +54,6 @@ pub fn scal(alpha: f64, x: &mut [f64]) {
     }
 }
 
-/// `y := alpha * op(A) * x + beta * y`.
-pub fn gemv(trans: Trans, alpha: f64, a: &View<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
-    match trans {
-        Trans::No => {
-            assert_eq!(x.len(), a.cols(), "gemv: x length mismatch");
-            assert_eq!(y.len(), a.rows(), "gemv: y length mismatch");
-            scal(beta, y);
-            for j in 0..a.cols() {
-                axpy(alpha * x[j], a.col(j), y);
-            }
-        }
-        Trans::Yes => {
-            assert_eq!(x.len(), a.rows(), "gemv^T: x length mismatch");
-            assert_eq!(y.len(), a.cols(), "gemv^T: y length mismatch");
-            for j in 0..a.cols() {
-                y[j] = beta * y[j] + alpha * dot(a.col(j), x);
-            }
-        }
-    }
-}
-
-/// Rank-one update `A += alpha * x * yᵀ`.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], a: &mut ViewMut<'_>) {
-    assert_eq!(x.len(), a.rows(), "ger: x length mismatch");
-    assert_eq!(y.len(), a.cols(), "ger: y length mismatch");
-    for j in 0..a.cols() {
-        axpy(alpha * y[j], x, a.col_mut(j));
-    }
-}
-
 /// Dimensions of `op(A)` for a given transpose flag.
 fn op_shape(t: Trans, a: &View<'_>) -> (usize, usize) {
     match t {
@@ -323,33 +293,6 @@ mod tests {
         assert!((nrm2(&small) - 5.0e-200).abs() / 5.0e-200 < 1e-14);
         assert_eq!(nrm2(&[]), 0.0);
         assert_eq!(nrm2(&[0.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn gemv_both_transposes() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]).unwrap();
-        let x = [1.0, -1.0];
-        let mut y = [1.0, 1.0, 1.0];
-        gemv(Trans::No, 1.0, &a.view(), &x, 0.0, &mut y);
-        assert_eq!(y, [-1.0, -1.0, -1.0]);
-        let x3 = [1.0, 0.0, -1.0];
-        let mut y2 = [0.0, 0.0];
-        gemv(Trans::Yes, 2.0, &a.view(), &x3, 0.0, &mut y2);
-        assert_eq!(y2, [-8.0, -8.0]);
-    }
-
-    #[test]
-    fn ger_rank_one() {
-        let mut a = Matrix::zeros(2, 3);
-        ger(
-            2.0,
-            &[1.0, 2.0],
-            &[1.0, 0.0, -1.0],
-            &mut a.view_mut(),
-        );
-        let want =
-            Matrix::from_rows(&[vec![2.0, 0.0, -2.0], vec![4.0, 0.0, -4.0]]).unwrap();
-        assert!(a.approx_eq(&want, 0.0));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!   [`View`]/[`ViewMut`] windows with an explicit leading dimension, so
 //!   blocked algorithms can operate in place on panels and trailing
 //!   sub-matrices without copying.
-//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, `gemv`, `ger`, a
-//!   blocked, column-strip `gemm`, and the small triangular
+//! * BLAS-like kernels ([`blas`]): `dot`, `nrm2`, `axpy`, a blocked,
+//!   column-strip `gemm`, and the small triangular
 //!   multiplies the compact-WY update needs.
 //! * Householder QR ([`qr`]): the unblocked factorization `geqr2`, the
 //!   blocked `geqrf` built on the compact-WY representation
@@ -47,9 +47,7 @@ pub mod blas;
 pub mod cholesky;
 pub mod eig;
 pub mod flops;
-pub mod givens;
 pub mod householder;
-pub mod lu;
 pub mod matrix;
 pub mod qr;
 pub mod stacked;
@@ -63,11 +61,10 @@ pub use view::{View, ViewMut};
 /// Convenient glob-import of the most used items.
 pub mod prelude {
     pub use crate::cholesky::potrf_upper;
-    pub use crate::lu::{getrf, LuFactors};
     pub use crate::matrix::Matrix;
     pub use crate::qr::{geqr2, geqrf, org2r, orm2r, QrFactors, Side, Trans};
     pub use crate::stacked::{tpmqrt, tpqrt, StackedFactors};
-    pub use crate::tri::{trsm_left, trsm_right_upper, trsv, Triangle};
+    pub use crate::tri::{trsm_right_upper, trsv, Triangle};
     pub use crate::verify::{orthogonality, relative_residual, sign_normalize_r};
     pub use crate::view::{View, ViewMut};
 }

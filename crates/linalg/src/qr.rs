@@ -284,21 +284,17 @@ impl QrFactors {
         org2r(&self.factors.sub(0, 0, self.factors.rows(), k), &self.tau)
     }
 
-    /// `C := Qᵀ·C` in place.
-    pub fn apply_qt_left(&self, c: &mut Matrix) {
-        orm2r(Side::Left, Trans::Yes, &self.factors.view(), &self.tau, &mut c.view_mut());
-    }
-
-    /// `C := Q·C` in place.
-    pub fn apply_q_left(&self, c: &mut Matrix) {
-        orm2r(Side::Left, Trans::No, &self.factors.view(), &self.tau, &mut c.view_mut());
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::verify::{orthogonality, relative_residual};
+
+    /// `C := op(Q)·C` with the implicit Q of `f` (`op` chosen by `trans`).
+    fn apply_left(f: &QrFactors, trans: Trans, c: &mut Matrix) {
+        orm2r(Side::Left, trans, &f.factors.view(), &f.tau, &mut c.view_mut());
+    }
 
     const TOL: f64 = 1e-12;
 
@@ -402,7 +398,7 @@ mod tests {
         let c0 = Matrix::random_uniform(12, 6, 9);
         // Sequential Qᵀ C via orm2r.
         let mut c_seq = c0.clone();
-        f.apply_qt_left(&mut c_seq);
+        apply_left(&f, Trans::Yes, &mut c_seq);
         // Blocked Qᵀ C via larfb.
         let t = larft(&f.factors.view(), &f.tau);
         let mut c_blk = c0.clone();
@@ -410,7 +406,7 @@ mod tests {
         assert!(c_blk.approx_eq(&c_seq, 1e-12));
         // And Q C.
         let mut c_seq = c0.clone();
-        f.apply_q_left(&mut c_seq);
+        apply_left(&f, Trans::No, &mut c_seq);
         let mut c_blk = c0.clone();
         larfb_left(Trans::No, &f.factors.view(), &t.view(), &mut c_blk.view_mut());
         assert!(c_blk.approx_eq(&c_seq, 1e-12));
@@ -422,8 +418,8 @@ mod tests {
         let f = QrFactors::compute(&a, 3);
         let c0 = Matrix::random_uniform(15, 4, 11);
         let mut c = c0.clone();
-        f.apply_qt_left(&mut c);
-        f.apply_q_left(&mut c);
+        apply_left(&f, Trans::Yes, &mut c);
+        apply_left(&f, Trans::No, &mut c);
         assert!(c.approx_eq(&c0, 1e-12));
     }
 
@@ -432,7 +428,7 @@ mod tests {
         let a = Matrix::random_uniform(18, 5, 12);
         let f = QrFactors::compute(&a, 4);
         let mut c = a.clone();
-        f.apply_qt_left(&mut c);
+        apply_left(&f, Trans::Yes, &mut c);
         let r = f.r();
         for i in 0..5 {
             for j in 0..5 {
@@ -454,7 +450,7 @@ mod tests {
         let q = {
             // Dense square Q via applying to the identity.
             let mut id = Matrix::identity(7);
-            f.apply_q_left(&mut id);
+            apply_left(&f, Trans::No, &mut id);
             id
         };
         let c0 = Matrix::random_uniform(4, 7, 14);

@@ -141,20 +141,6 @@ pub fn tpmqrt(trans: Trans, f: &StackedFactors, c1: &mut Matrix, c2: &mut Matrix
     }
 }
 
-/// The pair `(E1, E2)` with `[E1; E2] = Q·[I; 0]` — the first `n` columns of
-/// the combine's orthogonal factor, split into its `R1`-side and `R2`-side
-/// row blocks.
-///
-/// This is the building block for reconstructing the global TSQR `Q` down
-/// the reduction tree: each child's `Q` gets multiplied by its side's block.
-pub fn explicit_q_blocks(f: &StackedFactors) -> (Matrix, Matrix) {
-    let n = f.n();
-    let mut e1 = Matrix::identity(n);
-    let mut e2 = Matrix::zeros(n, n);
-    tpmqrt(Trans::No, f, &mut e1, &mut e2);
-    (e1, e2)
-}
-
 /// Factors `[R1; B]` in place where `R1` is `n × n` upper triangular and
 /// `B` is a dense `q × n` block — LAPACK `dtpqrt` with a square pentagon.
 ///
@@ -251,8 +237,10 @@ pub fn tpmqrt_dense(
     }
 }
 
-/// Reference implementation: dense QR of the `2n × n` stack. Used by tests
-/// to validate [`tpqrt`] and by the flop model as the "unstructured" cost.
+// archlint: allow(reach) — the unstructured reference the stacked kernel's
+// unit tests compare `tpqrt` against.
+/// Reference implementation: dense QR of the `2n × n` stack, the
+/// unstructured computation [`tpqrt`] replaces.
 pub fn stack_qr_dense(r1: &Matrix, r2: &Matrix) -> crate::qr::QrFactors {
     let stacked = r1.upper_triangular_padded().vstack(&r2.upper_triangular_padded());
     crate::qr::QrFactors::compute_unblocked(&stacked)
@@ -262,6 +250,16 @@ pub fn stack_qr_dense(r1: &Matrix, r2: &Matrix) -> crate::qr::QrFactors {
 mod tests {
     use super::*;
     use crate::verify::{orthogonality, relative_residual, sign_normalize_r};
+
+    /// `(E1, E2)` with `[E1; E2] = Q·[I; 0]`: the first `n` columns of the
+    /// combine's orthogonal factor, split into its two row blocks.
+    fn explicit_q_blocks(f: &StackedFactors) -> (Matrix, Matrix) {
+        let n = f.n();
+        let mut e1 = Matrix::identity(n);
+        let mut e2 = Matrix::zeros(n, n);
+        tpmqrt(Trans::No, f, &mut e1, &mut e2);
+        (e1, e2)
+    }
 
     const TOL: f64 = 1e-12;
 

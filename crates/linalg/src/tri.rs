@@ -49,14 +49,6 @@ pub fn trsv(tri: Triangle, t: &View<'_>, b: &mut [f64]) {
     }
 }
 
-/// Solves `T·X = B` in place, column by column (`X` overwrites `B`).
-pub fn trsm_left(tri: Triangle, t: &View<'_>, b: &mut ViewMut<'_>) {
-    assert_eq!(t.rows(), b.rows(), "trsm: dimension mismatch");
-    for j in 0..b.cols() {
-        trsv(tri, t, b.col_mut(j));
-    }
-}
-
 /// Solves `X·T = B` in place for upper-triangular `T` (right side) —
 /// equivalently `Tᵀ·Xᵀ = Bᵀ`. Used by CholeskyQR's `Q = A·R⁻¹`.
 pub fn trsm_right_upper(t: &View<'_>, b: &mut ViewMut<'_>) {
@@ -114,16 +106,6 @@ mod tests {
                 assert!((got[i] - x[(i, 0)]).abs() < 1e-12, "{tri:?} i={i}");
             }
         }
-    }
-
-    #[test]
-    fn trsm_left_many_rhs() {
-        let n = 6;
-        let t = upper(n, 4);
-        let x = Matrix::random_uniform(n, 4, 5);
-        let mut b = t.matmul(&x);
-        trsm_left(Triangle::Upper, &t.view(), &mut b.view_mut());
-        assert!(b.approx_eq(&x, 1e-12));
     }
 
     #[test]

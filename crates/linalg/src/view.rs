@@ -211,13 +211,6 @@ impl<'a> ViewMut<'a> {
         self.as_view().to_matrix()
     }
 
-    /// Fills the window with a constant.
-    pub fn fill(&mut self, v: f64) {
-        for j in 0..self.cols {
-            self.col_mut(j).fill(v);
-        }
-    }
-
     /// Scales every entry of the window by `alpha`.
     pub fn scale(&mut self, alpha: f64) {
         for j in 0..self.cols {
@@ -300,10 +293,8 @@ mod tests {
     }
 
     #[test]
-    fn fill_and_scale() {
+    fn scale_doubles_every_entry() {
         let mut m = sample();
-        m.view_mut().sub_mut(0, 0, 2, 2).fill(1.0);
-        assert_eq!(m[(1, 1)], 1.0);
         assert_eq!(m[(2, 0)], 20.0);
         m.view_mut().scale(2.0);
         assert_eq!(m[(2, 0)], 40.0);

@@ -1,7 +1,7 @@
 //! `archlint` — the workspace-level static analyzer (see
 //! `docs/static-analysis.md`).
 //!
-//! Four passes over the whole workspace, each rendering findings in
+//! Five passes over the whole workspace, each rendering findings in
 //! commlint's `path:line: [rule] message` format and sharing its
 //! allowlist machinery (`scripts/archlint.allow`, stale entries
 //! denied):
@@ -15,7 +15,10 @@
 //!    with the extracted model pinned as `scripts/archlint.model`
 //!    (`--bless` regenerates it after an intentional change);
 //! 4. **registry-dep** — every manifest dependency must resolve to an
-//!    in-repo `path`, so the workspace builds offline from its tree.
+//!    in-repo `path`, so the workspace builds offline from its tree;
+//! 5. **reach** — every shipped `pub fn` must be reachable from a
+//!    binary, example, test or benchmark, or carry an
+//!    `archlint: allow(reach)` annotation that says why it stays.
 //!
 //! Exit code is nonzero on any kept finding, so the tool gates
 //! `scripts/verify.sh` and CI at zero findings.
@@ -30,6 +33,7 @@ use std::process::ExitCode;
 use tsqr_lint::flow::{build_flow_table, flow_pass, render_model};
 use tsqr_lint::layering::{layering_pass, load_layer_spec};
 use tsqr_lint::protocol::load_protocol;
+use tsqr_lint::reach::reach_pass;
 use tsqr_lint::registry::registry_pass;
 use tsqr_lint::scan::{load_allowlist, partition_findings, stale_allow_findings};
 use tsqr_lint::taint::taint_pass;
@@ -52,7 +56,7 @@ fn main() -> ExitCode {
             "-v" | "--verbose" => verbose = true,
             "--help" | "-h" => {
                 println!("usage: archlint [--root DIR] [--bless] [-v]");
-                println!("  layering, nondet-taint, protocol-model and registry-dep passes;");
+                println!("  layering, nondet-taint, protocol-model, registry-dep and reach passes;");
                 println!("  --bless regenerates {MODEL_REL}");
                 return ExitCode::SUCCESS;
             }
@@ -83,6 +87,7 @@ fn main() -> ExitCode {
     findings.extend(layering_pass(&ws, &spec));
     findings.extend(taint_pass(&ws, &spec.deterministic));
     findings.extend(registry_pass(&root, &ws));
+    findings.extend(reach_pass(&root, &ws));
 
     let proto = load_protocol(&root.join(PROTOCOL_REL));
     let table = build_flow_table(&ws);

@@ -11,8 +11,10 @@
 //!   nondeterminism-taint propagation pass ([`taint`], catching the
 //!   indirect `Instant::now` two calls away that commlint cannot see),
 //!   the static message-flow/protocol model ([`flow`], golden in
-//!   `scripts/archlint.model`), and the hermetic-manifest pass
-//!   ([`registry`]: every dependency resolves to an in-repo path).
+//!   `scripts/archlint.model`), the hermetic-manifest pass
+//!   ([`registry`]: every dependency resolves to an in-repo path), and
+//!   the reachability pass ([`reach`]: every shipped `pub fn` is reached
+//!   from a binary, example, test or benchmark).
 //! * **`linkcheck`** — the markdown link/anchor gate for the docs.
 //!
 //! Everything is deliberately `syn`-free: the workspace builds offline
@@ -21,7 +23,8 @@
 //! conservative where they must guess, and every accepted exception
 //! lives either in a committed allowlist (`scripts/*.allow`, with
 //! stale entries themselves denied) or in an in-source
-//! `archlint: allow(taint)` annotation that carries its justification.
+//! `archlint: allow(taint)` / `archlint: allow(reach)` annotation that
+//! carries its justification.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +32,7 @@
 pub mod flow;
 pub mod layering;
 pub mod protocol;
+pub mod reach;
 pub mod registry;
 pub mod scan;
 pub mod taint;

@@ -44,7 +44,7 @@ use std::process::ExitCode;
 use tsqr_lint::protocol::{load_protocol, ProtocolFile};
 use tsqr_lint::scan::{
     collect_rs, is_nonshipped, load_allowlist, partition_findings, stale_allow_findings,
-    strip_noncode, truncate_at_test_module, Finding,
+    strip_noncode, truncate_at_test_module, unordered_iterations, Finding,
 };
 
 const ALLOW_REL: &str = "scripts/commlint.allow";
@@ -132,9 +132,6 @@ fn main() -> ExitCode {
 
 // ---------------------------------------------------------------- rules
 
-const ITER_SUFFIXES: [&str; 7] =
-    [".iter()", ".iter_mut()", ".keys()", ".values()", ".values_mut()", ".into_iter()", ".drain("];
-
 fn lint_wall_clock(path: &str, code: &str, out: &mut Vec<Finding>) {
     for (ln, line) in code.lines().enumerate() {
         for pat in ["Instant::now", "SystemTime"] {
@@ -164,74 +161,17 @@ fn lint_wall_clock(path: &str, code: &str, out: &mut Vec<Finding>) {
 }
 
 fn lint_hashmap_iter(path: &str, code: &str, out: &mut Vec<Finding>) {
-    // Pass 1: names bound to HashMap/HashSet in this file.
-    let mut names: Vec<String> = Vec::new();
-    for line in code.lines() {
-        let mut rest = line;
-        while let Some(i) = rest.find("let ") {
-            let after = &rest[i + 4..];
-            let after = after.strip_prefix("mut ").unwrap_or(after);
-            let name: String =
-                after.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !name.is_empty()
-                && (after[name.len()..].contains("HashMap") || after[name.len()..].contains("HashSet"))
-            {
-                names.push(name);
-            }
-            rest = &rest[i + 4..];
-        }
+    for (name, line) in unordered_iterations(code) {
+        out.push(Finding {
+            rule: "hashmap-iter",
+            path: path.to_string(),
+            line,
+            message: format!(
+                "iteration over `{name}` (HashMap/HashSet): order is seeded per \
+                 process — use BTreeMap/BTreeSet or sort before draining"
+            ),
+        });
     }
-    names.sort();
-    names.dedup();
-    // Pass 2: iteration over a tracked name.
-    for (ln, line) in code.lines().enumerate() {
-        for name in &names {
-            for suf in ITER_SUFFIXES {
-                let pat = format!("{name}{suf}");
-                if occurs_as_ident_use(line, name, &pat) {
-                    out.push(Finding {
-                        rule: "hashmap-iter",
-                        path: path.to_string(),
-                        line: ln + 1,
-                        message: format!(
-                            "iteration over `{name}` (HashMap/HashSet): order is seeded per \
-                             process — use BTreeMap/BTreeSet or sort before draining"
-                        ),
-                    });
-                }
-            }
-            for pat in [format!("in {name} "), format!("in &{name} "), format!("in &mut {name} ")] {
-                let probe = format!("{line} ");
-                if probe.contains(&pat) && line.contains("for ") {
-                    out.push(Finding {
-                        rule: "hashmap-iter",
-                        path: path.to_string(),
-                        line: ln + 1,
-                        message: format!("`for … in {name}` iterates a HashMap/HashSet"),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// True when `pat` occurs in `line` and the character before the match is
-/// not part of a longer identifier (so `sends.iter()` doesn't match the
-/// tracked name `ends`).
-fn occurs_as_ident_use(line: &str, _name: &str, pat: &str) -> bool {
-    let mut from = 0;
-    while let Some(i) = line[from..].find(pat) {
-        let at = from + i;
-        let before_ok = at == 0 || {
-            let c = line[..at].chars().next_back().unwrap();
-            !(c.is_alphanumeric() || c == '_' || c == '.')
-        };
-        if before_ok {
-            return true;
-        }
-        from = at + pat.len();
-    }
-    false
 }
 
 fn lint_wildcard_recv(path: &str, code: &str, out: &mut Vec<Finding>) {

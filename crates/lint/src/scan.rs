@@ -280,6 +280,74 @@ pub fn strip_noncode(src: &str) -> String {
     out
 }
 
+/// Iterations over bindings typed `HashMap`/`HashSet` in stripped
+/// `code`: `(binding name, 1-based line)`, once per binding and line.
+/// A binding is tracked when its `let` line mentions either type; an
+/// iteration is `name.iter()` (and the other adapters below) with no
+/// longer identifier or field path before `name`, or `for … in name`.
+/// The order is seeded per process, so anything derived from it is
+/// nondeterministic — commlint's `hashmap-iter` rule and the taint
+/// pass's `unordered-iter` source both use this scan.
+pub fn unordered_iterations(code: &str) -> Vec<(String, usize)> {
+    let mut names: Vec<String> = Vec::new();
+    for line in code.lines() {
+        let mut rest = line;
+        while let Some(i) = rest.find("let ") {
+            let after = &rest[i + 4..];
+            let after = after.strip_prefix("mut ").unwrap_or(after);
+            let name: String =
+                after.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
+            if !name.is_empty()
+                && (after[name.len()..].contains("HashMap")
+                    || after[name.len()..].contains("HashSet"))
+            {
+                names.push(name);
+            }
+            rest = &rest[i + 4..];
+        }
+    }
+    names.sort();
+    names.dedup();
+    const SUFFIXES: [&str; 7] = [
+        ".iter()", ".iter_mut()", ".keys()", ".values()", ".values_mut()", ".into_iter()", ".drain(",
+    ];
+    let mut out = Vec::new();
+    for (ln, line) in code.lines().enumerate() {
+        let padded = format!("{line} ");
+        for name in &names {
+            let adapter =
+                SUFFIXES.iter().any(|suf| occurs_as_ident_use(line, &format!("{name}{suf}")));
+            let for_in = line.contains("for ")
+                && [format!("in {name} "), format!("in &{name} "), format!("in &mut {name} ")]
+                    .iter()
+                    .any(|pat| padded.contains(pat.as_str()));
+            if adapter || for_in {
+                out.push((name.clone(), ln + 1));
+            }
+        }
+    }
+    out
+}
+
+/// True when `pat` occurs in `line` with no identifier character or
+/// `.` right before it (so `sends.iter()` doesn't match the tracked
+/// name `ends`, nor `self.m.iter()` the name `m`).
+fn occurs_as_ident_use(line: &str, pat: &str) -> bool {
+    let mut from = 0;
+    while let Some(i) = line[from..].find(pat) {
+        let at = from + i;
+        let before_ok = at == 0 || {
+            let c = line[..at].chars().next_back().unwrap();
+            !(c.is_alphanumeric() || c == '_' || c == '.')
+        };
+        if before_ok {
+            return true;
+        }
+        from = at + pat.len();
+    }
+    false
+}
+
 /// Cuts the file at its trailing `#[cfg(test)]` module (repo convention:
 /// unit tests live in one `mod tests` at the bottom).
 pub fn truncate_at_test_module(code: &str) -> &str {

@@ -38,7 +38,7 @@
 //!   source even when no pattern matches (for wrappers whose body
 //!   hides the source behind another crate or a macro).
 
-use crate::scan::Finding;
+use crate::scan::{unordered_iterations, Finding};
 use crate::workspace::{SourceFile, Workspace};
 
 /// One extracted function definition.
@@ -59,6 +59,28 @@ pub struct FnDef {
     pub allow_taint: bool,
     /// `archlint: source` annotation present.
     pub forced_source: bool,
+    /// Declared plain `pub` (not `pub(crate)` or private).
+    pub public: bool,
+    /// Defined in a `trait` or an `impl … for …` block: callable
+    /// wherever the trait is, whatever its own visibility.
+    pub trait_item: bool,
+    /// `archlint: allow(reach)` annotation present.
+    pub allow_reach: bool,
+}
+
+/// One `archlint:` annotation read from the raw source: it applies to
+/// the next `fn` within 12 lines (attributes and doc lines may sit
+/// between).
+#[derive(Debug, Clone, Copy)]
+pub struct Annotation {
+    /// 1-based line of the annotation comment.
+    pub line: usize,
+    /// `archlint: allow(taint)` — a documented taint boundary.
+    pub allow_taint: bool,
+    /// `archlint: source` — a forced taint source.
+    pub source: bool,
+    /// `archlint: allow(reach)` — kept although nothing reaches it.
+    pub allow_reach: bool,
 }
 
 /// One seeded taint occurrence inside a function.
@@ -77,8 +99,9 @@ struct Source {
 /// the signature (tracking `(`/`[` depth so `fn f(x: [u8; 3])` and
 /// `where` clauses parse); a `;` at depth 0 before any `{` means a
 /// bodyless trait-method declaration.
-pub fn extract_fns(crate_short: &str, file: &SourceFile, annotations: &[(usize, bool, bool)]) -> Vec<FnDef> {
+pub fn extract_fns(crate_short: &str, file: &SourceFile, annotations: &[Annotation]) -> Vec<FnDef> {
     let code = file.code.as_bytes();
+    let traits = trait_blocks(code);
     let mut out = Vec::new();
     let mut i = 0;
     while i + 3 < code.len() {
@@ -136,46 +159,116 @@ pub fn extract_fns(crate_short: &str, file: &SourceFile, annotations: &[(usize, 
             body,
             allow_taint: false,
             forced_source: false,
+            public: declared_pub(code, fn_at),
+            trait_item: traits.iter().any(|&(s, e)| s < fn_at && fn_at < e),
+            allow_reach: false,
         });
     }
     // An annotation binds to the *first* fn after it (within 12 lines,
     // so attributes and doc lines may sit between) — never to a later
     // neighbor that also happens to fall inside the window.
-    for (ann_line, allow, source) in annotations {
+    for a in annotations {
         if let Some(d) = out
             .iter_mut()
-            .filter(|d| d.line > *ann_line && d.line - ann_line <= 12)
+            .filter(|d| d.line > a.line && d.line - a.line <= 12)
             .min_by_key(|d| d.line)
         {
-            d.allow_taint |= allow;
-            d.forced_source |= source;
+            d.allow_taint |= a.allow_taint;
+            d.forced_source |= a.source;
+            d.allow_reach |= a.allow_reach;
         }
     }
     out
 }
 
-/// Reads `archlint:` annotations from the raw source. Returns
-/// `(line, allow_taint, source)` per annotated line; the annotation
-/// applies to the next `fn` within 12 lines (attributes and doc lines
-/// may sit between).
-pub fn extract_annotations(raw: &str) -> Vec<(usize, bool, bool)> {
+/// True when the `fn` keyword at `fn_at` is declared plain `pub`,
+/// looking back over `const`/`async`/`unsafe`/`extern` qualifiers
+/// (an `extern` ABI string is already blanked by the stripper).
+fn declared_pub(code: &[u8], fn_at: usize) -> bool {
+    let mut end = fn_at;
+    loop {
+        while end > 0 && (code[end - 1] as char).is_whitespace() {
+            end -= 1;
+        }
+        let mut start = end;
+        while start > 0 && ident_byte(code[start - 1]) {
+            start -= 1;
+        }
+        match &code[start..end] {
+            b"const" | b"async" | b"unsafe" | b"extern" => end = start,
+            word => return word == b"pub",
+        }
+    }
+}
+
+/// Brace spans of the `trait` and `impl … for …` blocks in `code`.
+fn trait_blocks(code: &[u8]) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (i, w) in code.windows(5).enumerate() {
+        let kw = if w.starts_with(b"impl") && !ident_byte(w[4]) {
+            4
+        } else if w == b"trait" {
+            5
+        } else {
+            continue;
+        };
+        if (i > 0 && ident_byte(code[i - 1])) || code.get(i + kw).is_some_and(|&b| ident_byte(b)) {
+            continue;
+        }
+        // The block opens at the first `{` outside parentheses; an
+        // `impl Trait` argument closes a parenthesis first and is skipped.
+        let mut depth = 0i32;
+        let mut open = None;
+        for (j, &b) in code.iter().enumerate().skip(i + kw) {
+            match b {
+                b'(' | b'[' => depth += 1,
+                b')' | b']' => depth -= 1,
+                b'{' if depth == 0 => open = Some(j),
+                b';' if depth == 0 => depth = -1,
+                _ => {}
+            }
+            if depth < 0 || open.is_some() {
+                break;
+            }
+        }
+        let Some(open) = open else { continue };
+        let header = &code[i + kw..open];
+        let has_for = header
+            .windows(5)
+            .any(|h| !ident_byte(h[0]) && &h[1..4] == b"for" && !ident_byte(h[4]));
+        if kw == 5 || has_for {
+            out.push((open, match_brace(code, open)));
+        }
+    }
+    out
+}
+
+/// Reads `archlint:` annotations from the raw source: plain `//`
+/// comment lines (doc comments only mention them), one per line.
+pub fn extract_annotations(raw: &str) -> Vec<Annotation> {
     raw.lines()
         .enumerate()
-        .filter_map(|(i, l)| {
-            let allow = l.contains("archlint: allow(taint)");
-            let source = l.contains("archlint: source");
-            (allow || source).then_some((i + 1, allow, source))
+        .filter(|(_, l)| {
+            let l = l.trim_start();
+            l.starts_with("//") && !l.starts_with("///") && !l.starts_with("//!")
         })
+        .map(|(i, l)| Annotation {
+            line: i + 1,
+            allow_taint: l.contains("archlint: allow(taint)"),
+            source: l.contains("archlint: source"),
+            allow_reach: l.contains("archlint: allow(reach)"),
+        })
+        .filter(|a| a.allow_taint || a.source || a.allow_reach)
         .collect()
 }
 
-fn ident_byte(b: u8) -> bool {
+pub(crate) fn ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
 /// Index just past the brace block opening at `open` (best-effort on
 /// unbalanced input: end of file).
-fn match_brace(code: &[u8], open: usize) -> usize {
+pub(crate) fn match_brace(code: &[u8], open: usize) -> usize {
     let mut depth = 0i32;
     let mut i = open;
     while i < code.len() {
@@ -307,56 +400,8 @@ fn find_sources(file: &SourceFile) -> Vec<(&'static str, String, usize)> {
         // that also mentions the unordered types, plus `for … in` over
         // them. Bindings are resolved per file below.
     }
-    for (name, ln) in unordered_bindings(&file.code) {
+    for (name, ln) in unordered_iterations(&file.code) {
         out.push(("unordered-iter", name, ln));
-    }
-    out
-}
-
-/// Lines iterating over bindings typed `HashMap`/`HashSet` in this
-/// file: `(binding name, line of the iteration)`. Same heuristic as
-/// commlint's `hashmap-iter` rule.
-fn unordered_bindings(code: &str) -> Vec<(String, usize)> {
-    let mut names: Vec<String> = Vec::new();
-    for line in code.lines() {
-        let mut rest = line;
-        while let Some(i) = rest.find("let ") {
-            let after = &rest[i + 4..];
-            let after = after.strip_prefix("mut ").unwrap_or(after);
-            let name: String =
-                after.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
-            if !name.is_empty()
-                && (after[name.len()..].contains("HashMap")
-                    || after[name.len()..].contains("HashSet"))
-            {
-                names.push(name);
-            }
-            rest = &rest[i + 4..];
-        }
-    }
-    names.sort();
-    names.dedup();
-    let suffixes =
-        [".iter()", ".iter_mut()", ".keys()", ".values()", ".values_mut()", ".into_iter()", ".drain("];
-    let mut out = Vec::new();
-    for (ln, line) in code.lines().enumerate() {
-        for name in &names {
-            let hit = suffixes.iter().any(|suf| {
-                let pat = format!("{name}{suf}");
-                line.find(&pat).is_some_and(|at| {
-                    at == 0 || {
-                        let c = line[..at].chars().next_back().unwrap();
-                        !(c.is_alphanumeric() || c == '_' || c == '.')
-                    }
-                })
-            }) || (line.contains("for ")
-                && [format!("in {name} "), format!("in &{name} "), format!("in &mut {name} ")]
-                    .iter()
-                    .any(|pat| format!("{line} ").contains(pat.as_str())));
-            if hit {
-                out.push((name.clone(), ln + 1));
-            }
-        }
     }
     out
 }

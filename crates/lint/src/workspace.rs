@@ -124,7 +124,7 @@ pub fn load_workspace(root: &Path) -> Workspace {
 }
 
 /// Extracts `name = "…"` from the `[package]` section of a manifest.
-fn parse_package_name(manifest: &Path) -> Option<String> {
+pub(crate) fn parse_package_name(manifest: &Path) -> Option<String> {
     let text = fs::read_to_string(manifest).ok()?;
     let mut in_package = false;
     for line in text.lines() {
@@ -148,7 +148,7 @@ fn parse_package_name(manifest: &Path) -> Option<String> {
 /// Extracts workspace-member dependency edges (short names) from the
 /// `[dependencies]` / `[dev-dependencies]` sections. Only packages in
 /// `known_packages` count — external crates are not layering edges.
-fn parse_workspace_deps(manifest: &Path, known_packages: &[String]) -> Vec<(String, usize)> {
+pub(crate) fn parse_workspace_deps(manifest: &Path, known_packages: &[String]) -> Vec<(String, usize)> {
     let Ok(text) = fs::read_to_string(manifest) else { return Vec::new() };
     let mut deps = Vec::new();
     let mut in_deps = false;

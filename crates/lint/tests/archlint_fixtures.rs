@@ -127,6 +127,18 @@ fn registry_dependency_fires_exactly_once_where_declared() {
 }
 
 #[test]
+fn unreached_pub_fn_fires_exactly_once() {
+    let a = archlint(&fixture("bad_unreached"), &[]);
+    let out = stdout(&a);
+    assert!(!a.status.success(), "{out}");
+    assert_eq!(count(&out, "[reach]"), 1, "{out}");
+    // Reached only by its own unit test; the example reaches the other
+    // two, one of them only as a fn-pointer value.
+    assert!(out.contains("crates/kit/src/lib.rs:12: [reach] `pub fn orphan`"), "{out}");
+    assert!(out.contains("1 finding(s)"), "{out}");
+}
+
+#[test]
 fn bless_clears_model_drift_but_not_real_violations() {
     let dir = scratch("drift");
     copy_tree(&fixture("bad_protocol"), &dir);

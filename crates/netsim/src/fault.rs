@@ -107,9 +107,9 @@ struct DropProb {
 /// use tsqr_netsim::{FailureSchedule, VirtualTime};
 ///
 /// let sched = FailureSchedule::new(42)
-///     .crash_rank(3, VirtualTime::from_millis(5.0))
+///     .crash_rank(3, VirtualTime::from_secs(0.005))
 ///     .drop_nth_message(0, 1, 0); // lose the first message 0 → 1
-/// assert_eq!(sched.crash_time(3), Some(VirtualTime::from_millis(5.0)));
+/// assert_eq!(sched.crash_time(3), Some(VirtualTime::from_secs(0.005)));
 /// assert!(sched.should_drop(0, 1, 0));
 /// assert!(!sched.should_drop(0, 1, 1));
 /// ```
@@ -363,13 +363,6 @@ impl FailureSchedule {
         })
     }
 
-    /// True when any transient-drop rule targets the pair `src → dst`
-    /// (used to decide whether retry logic is worth arming).
-    pub fn has_drop_rules(&self, src: usize, dst: usize) -> bool {
-        self.drop_nth.iter().any(|d| d.src == src && d.dst == dst)
-            || self.drop_prob.iter().any(|d| d.src == src && d.dst == dst)
-    }
-
     /// True when the schedule carries *any* transient-drop rule at all —
     /// consumers that pay per-message bookkeeping (e.g. the serve
     /// engine's per-link drain counters) skip it entirely otherwise.
@@ -548,8 +541,6 @@ mod tests {
         assert!(s.should_drop(1, 2, 3));
         assert!(!s.should_drop(1, 2, 4));
         assert!(!s.should_drop(2, 1, 3));
-        assert!(s.has_drop_rules(1, 2));
-        assert!(!s.has_drop_rules(2, 1));
     }
 
     #[test]

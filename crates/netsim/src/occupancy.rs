@@ -347,16 +347,6 @@ impl CommMatrix {
         self.bytes.iter().sum()
     }
 
-    /// Messages sent by `src` to anyone.
-    pub fn row_msgs(&self, src: usize) -> u64 {
-        (0..self.n).map(|d| self.msgs(src, d)).sum()
-    }
-
-    /// Messages received by `dst` from anyone.
-    pub fn col_msgs(&self, dst: usize) -> u64 {
-        (0..self.n).map(|s| self.msgs(s, dst)).sum()
-    }
-
     /// The `k` heaviest ordered pairs by bytes (ties broken by `(src,
     /// dst)` for determinism), as `(src, dst, msgs, bytes)`.
     pub fn top_pairs(&self, k: usize) -> Vec<(usize, usize, u64, u64)> {
@@ -512,8 +502,6 @@ mod tests {
         assert_eq!(m.msgs(1, 0), 0);
         assert_eq!(m.total_msgs(), 3);
         assert_eq!(m.total_bytes(), 158);
-        assert_eq!(m.row_msgs(0), 2);
-        assert_eq!(m.col_msgs(1), 2);
         assert_eq!(m.top_pairs(1), vec![(0, 1, 2, 150)]);
         let mut other = CommMatrix::new(4);
         other.record(0, 1, 1);

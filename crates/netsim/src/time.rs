@@ -21,16 +21,6 @@ impl VirtualTime {
         VirtualTime(s)
     }
 
-    /// Constructs from microseconds.
-    pub fn from_micros(us: f64) -> Self {
-        Self::from_secs(us * 1e-6)
-    }
-
-    /// Constructs from milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms * 1e-3)
-    }
-
     /// The value in seconds.
     #[inline]
     pub fn secs(self) -> f64 {
@@ -91,12 +81,6 @@ impl Sum for VirtualTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn construction_units() {
-        assert_eq!(VirtualTime::from_millis(1.0).secs(), 1e-3);
-        assert_eq!(VirtualTime::from_micros(17.0).secs(), 17e-6);
-    }
 
     #[test]
     fn arithmetic_and_ordering() {

@@ -23,15 +23,6 @@ impl ResourceCatalog {
     pub fn total_procs(&self) -> usize {
         self.clusters.iter().map(|c| c.nodes * c.procs_per_node).sum()
     }
-
-    /// The slowest per-processor peak across the given cluster indices —
-    /// the rate a synchronous algorithm effectively runs at (§V-A).
-    pub fn min_peak_gflops(&self, cluster_indices: &[usize]) -> f64 {
-        cluster_indices
-            .iter()
-            .map(|&c| self.clusters[c].peak_gflops_per_proc)
-            .fold(f64::INFINITY, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -43,14 +34,5 @@ mod tests {
         let cat = ResourceCatalog::grid5000();
         assert_eq!(cat.clusters.len(), 4);
         assert_eq!(cat.total_procs(), 2 * (312 + 80 + 93 + 56));
-    }
-
-    #[test]
-    fn min_peak_over_selection() {
-        let cat = ResourceCatalog::grid5000();
-        // Orsay (8.0) is the slowest of all four.
-        assert_eq!(cat.min_peak_gflops(&[0, 1, 2, 3]), 8.0);
-        // Bordeaux alone: 10.4.
-        assert_eq!(cat.min_peak_gflops(&[2]), 10.4);
     }
 }

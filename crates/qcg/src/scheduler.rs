@@ -161,11 +161,6 @@ impl SlotPool {
         self.free_nodes[c]
     }
 
-    /// Total free nodes across all clusters.
-    pub fn total_free_nodes(&self) -> usize {
-        self.free_nodes.iter().sum()
-    }
-
     /// True when catalog cluster `c` has crashed.
     pub fn site_down(&self, c: usize) -> bool {
         self.down[c]
@@ -511,13 +506,14 @@ mod tests {
         }
         // 312/32 + 93/32 + 80/32 + 56/32 = 9 + 2 + 2 + 1 whole leases.
         assert_eq!(leases.len(), 14);
-        assert_eq!(pool.total_free_nodes(), (312 - 288) + (93 - 64) + (80 - 64) + (56 - 32));
+        let free = |pool: &SlotPool| (0..4).map(|c| pool.free_nodes(c)).sum::<usize>();
+        assert_eq!(free(&pool), (312 - 288) + (93 - 64) + (80 - 64) + (56 - 32));
         assert!(!pool.is_idle());
         for a in &leases {
             a.release(&mut pool);
         }
         assert!(pool.is_idle());
-        assert_eq!(pool.total_free_nodes(), 312 + 93 + 80 + 56);
+        assert_eq!(free(&pool), 312 + 93 + 80 + 56);
         // And the recovered pool serves the paper's four-site job again.
         let again = pool.allocate(&JobProfile::cluster_of_clusters(4, 64)).unwrap();
         assert_eq!(again.topology.num_procs(), 256);

@@ -31,7 +31,8 @@ cargo run --release -q -p tsqr-lint --bin commlint
 
 echo "==> archlint (workspace analyzer: crate layering vs scripts/layering.toml,"
 echo "    nondeterminism-taint propagation, message-flow model vs"
-echo "    scripts/archlint.model; see docs/static-analysis.md)"
+echo "    scripts/archlint.model, hermetic manifests, reachability of every"
+echo "    pub fn; see docs/static-analysis.md)"
 cargo run --release -q -p tsqr-lint --bin archlint
 
 echo "==> linkcheck (markdown links + anchors across README, EXPERIMENTS, docs/)"

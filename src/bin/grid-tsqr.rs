@@ -1024,7 +1024,6 @@ fn run() -> Result<String, String> {
                 domains_per_cluster: dpc,
                 compute_q: false,
                 combine_rate_flops: combine,
-                ..Default::default()
             };
 
             // Failure-free reference: the plain program, empty schedule.
@@ -1348,7 +1347,6 @@ fn run() -> Result<String, String> {
                     domains_per_cluster: dpc,
                     compute_q: false,
                     combine_rate_flops: combine,
-                    ..Default::default()
                 };
                 let fault = |schedule: FailureSchedule| -> Result<HbReport, String> {
                     let mut frt = grid_runtime(sites);
@@ -1429,7 +1427,6 @@ fn run() -> Result<String, String> {
                     domains_per_cluster: 4,
                     compute_q: false,
                     combine_rate_flops: None,
-                    ..Default::default()
                 };
                 let rep = explore(
                     || Runtime::new(small_topo(), small_model.clone()),

@@ -169,7 +169,6 @@ fn explorer_proves_tsqr_r_bit_identical_for_p8() {
         domains_per_cluster: 4,
         compute_q: false,
         combine_rate_flops: None,
-        ..Default::default()
     };
     let rep = explore(
         explorer_grid,
