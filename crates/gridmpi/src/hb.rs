@@ -45,6 +45,9 @@ use crate::trace::{EventKind, FaultKind, Trace};
 
 /// A Mattern/Fidge vector clock: one logical counter per rank.
 ///
+/// The runtime carries none: the race pass of [`Trace::hb_analysis`]
+/// computes one per trace event from program order and matched messages.
+///
 /// The component-wise partial order is exactly happens-before:
 /// `a < b` iff the event stamped `a` causally precedes the event stamped
 /// `b`; incomparable clocks mean concurrent events.
@@ -92,8 +95,8 @@ impl VectorClock {
         self.0[rank] += 1;
     }
 
-    /// Component-wise maximum with `other` (called on message receipt,
-    /// *before* the receive's own tick).
+    /// Component-wise maximum with `other` (called with each causal
+    /// predecessor's clock, *before* the event's own tick).
     pub fn merge(&mut self, other: &VectorClock) {
         if other.0.len() > self.0.len() {
             self.0.resize(other.0.len(), 0);
@@ -103,11 +106,6 @@ impl VectorClock {
                 self.0[i] = v;
             }
         }
-    }
-
-    /// The raw counters.
-    pub fn as_slice(&self) -> &[u64] {
-        &self.0
     }
 
     /// True when the event stamped `self` happens-before the event
@@ -125,7 +123,7 @@ impl VectorClock {
 }
 
 impl From<Vec<u64>> for VectorClock {
-    /// Wraps raw counters (e.g. the snapshot an envelope carried).
+    /// Wraps raw counters.
     fn from(v: Vec<u64>) -> Self {
         VectorClock(v)
     }

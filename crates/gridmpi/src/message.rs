@@ -128,12 +128,6 @@ pub(crate) struct Envelope {
     pub bytes: u64,
     /// Data or failure notification.
     pub kind: EnvelopeKind,
-    /// The sender's vector clock *at send time* (the send's own tick
-    /// included). The receiver merges this into its clock on open, which
-    /// is what makes the happens-before partial order ([`crate::hb`])
-    /// observable at runtime. Empty for tombstones (control traffic
-    /// carries no causal payload).
-    pub vc: Vec<u64>,
     /// The boxed payload (downcast on receive).
     pub payload: Box<dyn Any + Send>,
 }
@@ -145,7 +139,7 @@ impl Envelope {
             EnvelopeKind::Crash { at } | EnvelopeKind::Abort { at } => at,
             EnvelopeKind::Data { .. } => unreachable!("tombstones carry no data"),
         };
-        Envelope { src, tag: 0, arrival, bytes: 0, kind, vc: Vec::new(), payload: Box::new(()) }
+        Envelope { src, tag: 0, arrival, bytes: 0, kind, payload: Box::new(()) }
     }
 }
 

@@ -11,7 +11,6 @@ use tsqr_netsim::{
 };
 
 use crate::error::CommError;
-use crate::hb::VectorClock;
 use crate::message::{Envelope, EnvelopeKind, WirePayload};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{Event, EventKind, FaultKind, Recorder};
@@ -161,7 +160,9 @@ pub struct Process {
     /// Per-destination transmission sequence numbers (indexes the
     /// schedule's drop rules).
     pub(crate) sent_seq: Vec<u64>,
-    pub(crate) senders: Vec<Sender<Envelope>>,
+    /// Every rank's channel, indexed by destination; one table shared by
+    /// all ranks of a run.
+    pub(crate) senders: Arc<[Sender<Envelope>]>,
     pub(crate) inbox: Receiver<Envelope>,
     /// Messages that arrived while waiting for a different source.
     pub(crate) pending: VecDeque<Envelope>,
@@ -180,10 +181,6 @@ pub struct Process {
     pub(crate) phase_stack: Vec<(&'static str, VirtualTime)>,
     /// Always-on per-phase counters and histograms.
     pub(crate) metrics: MetricsRegistry,
-    /// This rank's vector clock: ticked on every send/receive, merged on
-    /// every receive (see [`crate::hb`]). Every data envelope carries the
-    /// sender's clock at send time.
-    pub(crate) vc: VectorClock,
     /// Inter-source ordering discipline for the pending buffer (see
     /// [`DeliveryOrder`]; installed by
     /// [`crate::Runtime::set_delivery_order`]).
@@ -466,9 +463,6 @@ impl Process {
         let from = self.location();
         let to = self.topo.location(dst);
         let class = LinkClass::between(from, to);
-        // The send is one causal event: tick once (not per retransmission
-        // attempt) and stamp the envelope with the post-tick clock.
-        self.vc.tick(self.rank);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -531,7 +525,6 @@ impl Process {
                 arrival,
                 bytes,
                 kind: EnvelopeKind::Data { dropped },
-                vc: self.vc.as_slice().to_vec(),
                 payload: Box::new(msg),
             };
             // Unbounded channel: never blocks. A disconnected receiver means
@@ -757,10 +750,6 @@ impl Process {
         if env.tag != tag {
             return Err(CommError::TagMismatch { expected: tag, got: env.tag });
         }
-        // Causality: adopt the sender's knowledge, then tick for the
-        // receive event itself.
-        self.vc.merge(&VectorClock::from(env.vc.clone()));
-        self.vc.tick(self.rank);
         // Receiver-side NIC serialization: the bytes of this message must
         // be clocked in after whatever the NIC was already receiving. For
         // an idle NIC this is exactly `arrival`; for a hot one (e.g. the

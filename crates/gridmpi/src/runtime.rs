@@ -8,7 +8,7 @@ use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, VirtualTime};
 
 use crate::comm::Communicator;
 use crate::error::CommError;
-use crate::hb::{HbReport, VectorClock};
+use crate::hb::HbReport;
 use crate::message::Envelope;
 use crate::metrics::MetricsRegistry;
 use crate::process::{DeliveryOrder, Process, RankStats, TrafficCounters};
@@ -38,9 +38,6 @@ pub struct RunReport<T> {
     pub trace: Option<Trace>,
     /// Per-rank phase metrics (always collected), indexed by rank.
     pub metrics: Vec<MetricsRegistry>,
-    /// Each rank's final vector clock (see [`crate::hb`]), indexed by
-    /// rank. Always collected — the clocks are a few words per rank.
-    pub vector_clocks: Vec<Vec<u64>>,
 }
 
 /// Structured join of a run: who finished, who failed, and the partial
@@ -249,16 +246,16 @@ impl Runtime {
         assert!(n > 0, "cannot run on an empty topology");
         let (senders, inboxes): (Vec<_>, Vec<_>) =
             (0..n).map(|_| mpsc::channel::<Envelope>()).unzip();
+        let senders: Arc<[mpsc::Sender<Envelope>]> = senders.into();
         let schedule = Arc::new(self.schedule.clone());
 
         let mut rank_results: Vec<Option<RankResult<T>>> = (0..n).map(|_| None).collect();
         let mut rank_traces: Vec<Vec<crate::trace::Event>> = (0..n).map(|_| Vec::new()).collect();
         let mut rank_metrics: Vec<MetricsRegistry> = (0..n).map(|_| Default::default()).collect();
-        let mut rank_vcs: Vec<Vec<u64>> = (0..n).map(|_| Vec::new()).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, inbox) in inboxes.into_iter().enumerate() {
-                let senders = senders.clone();
+                let senders = Arc::clone(&senders);
                 let topo = Arc::clone(&self.topo);
                 let model = Arc::clone(&self.model);
                 let schedule = Arc::clone(&schedule);
@@ -285,7 +282,6 @@ impl Runtime {
                         recorder: self.tracing.then(Recorder::default),
                         phase_stack: Vec::new(),
                         metrics: MetricsRegistry::default(),
-                        vc: VectorClock::new(n),
                         delivery: self.delivery,
                         buffered: 0,
                     };
@@ -305,7 +301,6 @@ impl Runtime {
                         proc.phase_end();
                     }
                     let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
-                    let vc = proc.vc.as_slice().to_vec();
                     (
                         RankResult {
                             result,
@@ -313,7 +308,6 @@ impl Runtime {
                         },
                         events,
                         proc.metrics,
-                        vc,
                         // Hand the inbox back instead of dropping it: a
                         // rank that exits early (crash/abort) must not
                         // disconnect its channel while peers are still
@@ -333,11 +327,10 @@ impl Runtime {
             let mut parked_inboxes = Vec::with_capacity(n);
             for (rank, h) in handles.into_iter().enumerate() {
                 match h.join() {
-                    Ok((rr, events, metrics, vc, inbox)) => {
+                    Ok((rr, events, metrics, inbox)) => {
                         rank_results[rank] = Some(rr);
                         rank_traces[rank] = events;
                         rank_metrics[rank] = metrics;
-                        rank_vcs[rank] = vc;
                         parked_inboxes.push(inbox);
                     }
                     Err(p) => std::panic::resume_unwind(p),
@@ -381,7 +374,7 @@ impl Runtime {
                 }
             }
         }
-        RunReport { ranks, makespan, totals, trace, metrics: rank_metrics, vector_clocks: rank_vcs }
+        RunReport { ranks, makespan, totals, trace, metrics: rank_metrics }
     }
 }
 
@@ -972,5 +965,39 @@ mod tests {
         let hb = report.trace.as_ref().unwrap().hb_analysis();
         assert_eq!(hb.deadlock_cycles, vec![vec![0, 1]]);
         assert!(!hb.ok());
+    }
+
+    #[test]
+    fn runtime_trace_orders_causally_chained_wildcards() {
+        // The `causally_ordered_wildcards_do_not_race` shape, produced by
+        // the runtime instead of written by hand: rank 2 sends its tag-9
+        // message only after rank 0 acknowledged rank 1's. Envelopes carry
+        // no vector clocks, so the analyzer must recover that causal order
+        // from the trace's program order and matched messages alone.
+        let mut rt = tiny_grid(1, 3, 1);
+        rt.enable_tracing();
+        let report = rt.run(|p, _| {
+            match p.rank() {
+                0 => {
+                    let (first, _) = p.recv_any::<f64>(9)?;
+                    p.send(2, 1, ())?;
+                    let (second, _) = p.recv_any::<f64>(9)?;
+                    Ok(vec![first, second])
+                }
+                1 => p.send(0, 9, 1.0f64).map(|()| Vec::new()),
+                _ => {
+                    let () = p.recv(0, 1)?;
+                    p.send(0, 9, 2.0f64).map(|()| Vec::new())
+                }
+            }
+        });
+        assert_eq!(report.ranks[0].result, Ok(vec![1, 2]));
+        let hb = report.trace.as_ref().expect("tracing enabled").hb_analysis();
+        assert!(hb.ok(), "{}", hb.render());
+        assert!(hb.races.is_empty());
+        assert_eq!(hb.wildcard_recvs, 2);
+        assert_eq!(hb.matched, 3);
+        // Program order (2 edges on rank 0, 1 on rank 2) + 3 messages.
+        assert_eq!(hb.num_edges, 3 + 3);
     }
 }
