@@ -36,9 +36,9 @@ fn run(layout: &DomainLayout, rt: &Runtime, rates: &[f64]) -> f64 {
         ..Default::default()
     };
     let tree = ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
-    let report = rt.run(|p, _| {
+    let report = rt.run_async(async |p, _| {
         let rate = rates[p.cluster()];
-        tsqr_rank_program_symbolic(p, layout, &tree, &cfg, Some(rate))
+        tsqr_rank_program_symbolic(p, layout, &tree, &cfg, Some(rate)).await
     });
     report.makespan.secs()
 }

@@ -67,10 +67,11 @@ fn run_tsqr(rt: &Runtime, a: &Matrix) -> (Matrix, f64, u64) {
         compute_q: true,
         ..Default::default()
     };
-    let report = rt.run(|p, _| {
+    let report = rt.run_async(async |p, _| {
         tsqr_rank_program_with(p, &layout, &tree, &cfg, None, |row0, rows| {
             a.sub_matrix(row0 as usize, 0, rows, n)
         })
+        .await
     });
     let makespan = report.makespan.secs();
     let wan = report.totals.inter_cluster_msgs();
@@ -93,11 +94,11 @@ fn run_cholqr(rt: &Runtime, a: &Matrix) -> Result<(Matrix, f64, u64), String> {
     let (m, n) = a.shape();
     let procs = rt.topology().num_procs();
     let chunks = even_chunks(m as u64, procs);
-    let report = rt.run(|p, world| {
+    let report = rt.run_async(async |p, world| {
         let me = world.my_index(p);
         let row0: u64 = chunks[..me].iter().sum();
         let local = a.sub_matrix(row0 as usize, 0, chunks[me] as usize, n);
-        match cholqr(p, world, local, None) {
+        match cholqr(p, world, local, None).await {
             Ok(out) => Ok(Some(out.q_local)),
             Err(CholQrError::GramNotPd { .. }) => Ok(None),
             Err(CholQrError::Comm(e)) => Err(e),

@@ -24,7 +24,7 @@ fn caqr_gflops(sites: usize, m: u64, n: usize, tile: usize) -> f64 {
         rate_flops: Some(calib::kernel_rate_flops(tile)),
         combine_rate_flops: Some(calib::combine_rate_flops()),
     };
-    let report = rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg));
+    let report = rt.run_async(async |p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg).await);
     // Useful flops of a full QR of an m × n matrix.
     let useful = model::useful_flops(m, n as u64, false);
     useful / report.makespan.secs() / 1e9
@@ -71,7 +71,7 @@ fn main() {
         combine_rate_flops: Some(calib::combine_rate_flops()),
     };
     let wan_of = |m: u64, n: usize| {
-        rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg))
+        rt.run_async(async |p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg).await)
             .totals
             .inter_cluster_msgs()
     };

@@ -18,7 +18,7 @@ fn measure(rt: &Runtime, a: usize, b: usize) -> (f64, f64) {
     let ra = a * 64;
     let rb = if a == b { a * 64 + 2 } else { b * 64 }; // same site: another node
     let big: u64 = 64 << 20;
-    let report = rt.run(move |p, _| {
+    let report = rt.run_async(async move |p, _| {
         if p.rank() == ra {
             let t0 = p.clock();
             p.send(rb, 1, Phantom { bytes: 0 })?;
@@ -28,8 +28,8 @@ fn measure(rt: &Runtime, a: usize, b: usize) -> (f64, f64) {
             let xfer = p.clock() - t1;
             Ok(Some((lat.secs(), xfer.secs())))
         } else if p.rank() == rb {
-            let _: Phantom = p.recv(ra, 1)?;
-            let _: Phantom = p.recv(ra, 2)?;
+            let _: Phantom = p.recv(ra, 1).await?;
+            let _: Phantom = p.recv(ra, 2).await?;
             Ok(None)
         } else {
             Ok(None)

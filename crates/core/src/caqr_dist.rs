@@ -120,16 +120,15 @@ fn panel_participants(
 // against a single-process QR and the symbolic program's traffic against it.
 /// The rank program of a numerically real distributed CAQR (R only) on
 /// the seeded random workload.
-pub fn caqr_dist_rank_program(
+pub async fn caqr_dist_rank_program(
     p: &mut Process,
     m: u64,
     n: usize,
     cfg: &CaqrDistConfig,
     seed: u64,
 ) -> Result<Option<Matrix>, CommError> {
-    caqr_dist_rank_program_with(p, m, n, cfg, |row0, rows| {
-        workload::block(seed, row0, rows, n)
-    })
+    caqr_dist_rank_program_with(p, m, n, cfg, |row0, rows| workload::block(seed, row0, rows, n))
+        .await
 }
 
 /// The rank program of a numerically real distributed CAQR (R only) over
@@ -138,7 +137,7 @@ pub fn caqr_dist_rank_program(
 ///
 /// Returns the full `N × N` upper-triangular factor on rank 0 (gathered
 /// tile-by-tile), `None` elsewhere.
-pub fn caqr_dist_rank_program_with(
+pub async fn caqr_dist_rank_program_with(
     p: &mut Process,
     m: u64,
     n: usize,
@@ -210,13 +209,13 @@ pub fn caqr_dist_rank_program_with(
                 match *step {
                     Step::Recv(from_pos) => {
                         let from = participants[from_pos];
-                        let packed: Vec<f64> = p.recv(from, TAG_R)?;
+                        let packed: Vec<f64> = p.recv(from, TAG_R).await?;
                         let mut r2 = unpack_upper(b, &packed);
                         let f = tpqrt(&mut r_acc, &mut r2);
                         p.compute(flops::tpqrt(b as u64), combine_rate);
                         if trail > 0 {
                             let mut c1 = local.sub_matrix(off, col0 + b, b, trail);
-                            let mut c2: Matrix = p.recv(from, TAG_C)?;
+                            let mut c2: Matrix = p.recv(from, TAG_C).await?;
                             tpmqrt(Trans::Yes, &f, &mut c1, &mut c2);
                             p.compute(
                                 flops::tpmqrt(b as u64, trail as u64),
@@ -232,7 +231,7 @@ pub fn caqr_dist_rank_program_with(
                         if trail > 0 {
                             let c_mine = local.sub_matrix(off, col0 + b, b, trail);
                             p.send(to, TAG_C, c_mine)?;
-                            let updated: Matrix = p.recv(to, TAG_C_BACK)?;
+                            let updated: Matrix = p.recv(to, TAG_C_BACK).await?;
                             local.set_sub(off, col0 + b, &updated);
                         }
                     }
@@ -265,7 +264,7 @@ pub fn caqr_dist_rank_program_with(
         needed.sort_unstable();
         needed.dedup();
         for src in needed {
-            let blocks: Vec<(u64, Matrix)> = p.recv(src, TAG_GATHER)?;
+            let blocks: Vec<(u64, Matrix)> = p.recv(src, TAG_GATHER).await?;
             for (t, block) in blocks {
                 r.set_sub(t as usize * b, 0, &block);
             }
@@ -286,7 +285,7 @@ pub fn caqr_dist_rank_program_with(
 /// The symbolic twin: identical schedule and charged flops, no numerics,
 /// no final gather (the gather is bookkeeping, not part of the
 /// factorization the paper times).
-pub fn caqr_dist_rank_program_symbolic(
+pub async fn caqr_dist_rank_program_symbolic(
     p: &mut Process,
     m: u64,
     n: usize,
@@ -336,10 +335,10 @@ pub fn caqr_dist_rank_program_symbolic(
                 match *step {
                     Step::Recv(from_pos) => {
                         let from = participants[from_pos];
-                        let _: Phantom = p.recv(from, TAG_R)?;
+                        let _: Phantom = p.recv(from, TAG_R).await?;
                         p.compute(flops::tpqrt(b as u64), combine_rate);
                         if trail > 0 {
-                            let _: Phantom = p.recv(from, TAG_C)?;
+                            let _: Phantom = p.recv(from, TAG_C).await?;
                             p.compute(flops::tpmqrt(b as u64, trail as u64), combine_rate);
                             p.send(from, TAG_C_BACK, Phantom { bytes: 8 * (b * trail) as u64 })?;
                         }
@@ -349,7 +348,7 @@ pub fn caqr_dist_rank_program_symbolic(
                         p.send(to, TAG_R, Phantom { bytes: r_bytes })?;
                         if trail > 0 {
                             p.send(to, TAG_C, Phantom { bytes: 8 * (b * trail) as u64 })?;
-                            let _: Phantom = p.recv(to, TAG_C_BACK)?;
+                            let _: Phantom = p.recv(to, TAG_C_BACK).await?;
                         }
                     }
                 }
@@ -402,7 +401,7 @@ mod tests {
             rate_flops: None,
             combine_rate_flops: None,
         };
-        let report = rt.run(|p, _| caqr_dist_rank_program(p, m, n, &cfg, seed));
+        let report = rt.run_async(async |p, _| caqr_dist_rank_program(p, m, n, &cfg, seed).await);
         report.ranks[0].result.clone().unwrap().expect("rank 0 holds R")
     }
 
@@ -455,7 +454,8 @@ mod tests {
             rate_flops: None,
             combine_rate_flops: None,
         };
-        let report = rt.run(|p, _| caqr_dist_rank_program(p, 64, 16, &cfg, 97).map(|_| ()));
+        let report = rt
+            .run_async(async |p, _| caqr_dist_rank_program(p, 64, 16, &cfg, 97).await.map(|_| ()));
         // 4 panels; per panel ≤ 3 WAN messages (R + C + C_back on one tree
         // edge) + final gather.
         let wan = report.totals.inter_cluster_msgs();
@@ -483,7 +483,7 @@ mod tests {
             rate_flops: None,
             combine_rate_flops: None,
         };
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             caqr_dist_rank_program_with(p, m, n_aug, &cfg, |row0, rows| {
                 Matrix::from_fn(rows, n_aug, |i, j| {
                     if j < n {
@@ -495,6 +495,7 @@ mod tests {
                     }
                 })
             })
+            .await
         });
         let r_aug = report.ranks[0].result.clone().unwrap().expect("rank 0");
         // x = R[..n, ..n]⁻¹ · R[..n, n]
@@ -516,8 +517,9 @@ mod tests {
             combine_rate_flops: None,
         };
         let (m, n) = (96u64, 12usize);
-        let real = rt.run(|p, _| caqr_dist_rank_program(p, m, n, &cfg, 99).map(|_| ()));
-        let sym = rt.run(|p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg));
+        let real =
+            rt.run_async(async |p, _| caqr_dist_rank_program(p, m, n, &cfg, 99).await.map(|_| ()));
+        let sym = rt.run_async(async |p, _| caqr_dist_rank_program_symbolic(p, m, n, &cfg).await);
         // The real run adds the final gather (bookkeeping); flops must
         // match exactly and messages differ only by the gather.
         for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {

@@ -69,7 +69,7 @@ impl std::error::Error for CholQrError {}
 /// One all-reduce of the `n×n` Gram matrix (`log₂(P)` messages — same
 /// count as a TSQR reduce, about double the volume since the full square
 /// travels), then local Cholesky + triangular solve.
-pub fn cholqr(
+pub async fn cholqr(
     p: &mut Process,
     group: &Communicator,
     local: Matrix,
@@ -83,9 +83,9 @@ pub fn cholqr(
     let g_loc = local.t_matmul(&local);
     p.compute(flops::gemm(n as u64, n as u64, m_loc), rate_flops);
     // One all-reduce of n² values.
-    let g = group.allreduce(p, g_loc.into_vec(), |a, b| {
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
-    })?;
+    let g = group
+        .allreduce(p, g_loc.into_vec(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+        .await?;
     let g = Matrix::from_col_major(n, n, g).expect("gram matrix shape");
     // Cholesky (n³/3) and the solve Q = A·R⁻¹ (m_loc·n²).
     let r = potrf_upper(&g).map_err(|e| CholQrError::GramNotPd { pivot: e.pivot })?;
@@ -125,11 +125,11 @@ mod tests {
         let rt = runtime(procs);
         let (m, n) = a.shape();
         let chunks = even_chunks(m as u64, procs);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let row0: u64 = chunks[..me].iter().sum();
             let local = a.sub_matrix(row0 as usize, 0, chunks[me] as usize, n);
-            match cholqr(p, world, local, None) {
+            match cholqr(p, world, local, None).await {
                 Ok(out) => Ok(Some((out, p.counters().total_msgs()))),
                 Err(CholQrError::GramNotPd { .. }) => Ok(None),
                 Err(CholQrError::Comm(e)) => Err(e),

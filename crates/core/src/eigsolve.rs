@@ -78,14 +78,14 @@ pub struct EigsolveRankOutput {
 
 /// Gathers the per-rank basis blocks into the full `m × k` matrix (every
 /// rank gets a copy), ordered by the layout's row ranges.
-fn allgather_basis(
+async fn allgather_basis(
     p: &mut Process,
     world: &Communicator,
     layout: &DomainLayout,
     x_loc: &Matrix,
     row0: u64,
 ) -> Result<Matrix, CommError> {
-    let gathered = world.allgather(p, (row0, x_loc.clone()))?;
+    let gathered = world.allgather(p, (row0, x_loc.clone())).await?;
     let mut blocks: Vec<(u64, Matrix)> = gathered;
     blocks.sort_by_key(|(r0, _)| *r0);
     let refs: Vec<&Matrix> = blocks.iter().map(|(_, b)| b).collect();
@@ -95,7 +95,7 @@ fn allgather_basis(
 }
 
 /// The rank program of a distributed block subspace iteration.
-pub fn eigsolve_rank_program(
+pub async fn eigsolve_rank_program(
     p: &mut Process,
     world: &Communicator,
     layout: &DomainLayout,
@@ -118,26 +118,27 @@ pub fn eigsolve_rank_program(
     // Random initial basis, orthonormalized once.
     let mut out = tsqr_rank_program_with(p, layout, tree, &tsqr_cfg, None, |r0, r| {
         crate::workload::block(cfg.seed, r0, r, cfg.k)
-    })?;
+    })
+    .await?;
     let mut x_loc = out.q_block.take().expect("explicit Q requested");
 
     // Subspace sweeps: X ← orth(A·X).
     for _ in 0..cfg.sweeps {
-        let x_full = allgather_basis(p, world, layout, &x_loc, row0)?;
+        let x_full = allgather_basis(p, world, layout, &x_loc, row0).await?;
         let y_loc = op.apply_rows(row0, rows as usize, &x_full);
-        let mut out = tsqr_rank_program_with(p, layout, tree, &tsqr_cfg, None, |_r0, _r| {
-            y_loc.clone()
-        })?;
+        let mut out =
+            tsqr_rank_program_with(p, layout, tree, &tsqr_cfg, None, |_r0, _r| y_loc.clone())
+                .await?;
         x_loc = out.q_block.take().expect("explicit Q requested");
     }
 
     // Rayleigh–Ritz: H = Xᵀ(A·X) via one all-reduce; rotate the basis.
-    let x_full = allgather_basis(p, world, layout, &x_loc, row0)?;
+    let x_full = allgather_basis(p, world, layout, &x_loc, row0).await?;
     let y_loc = op.apply_rows(row0, rows as usize, &x_full);
     let h_loc = x_loc.t_matmul(&y_loc);
-    let h = world.allreduce(p, h_loc.into_vec(), |a, b| {
-        a.iter().zip(&b).map(|(x, y)| x + y).collect()
-    })?;
+    let h = world
+        .allreduce(p, h_loc.into_vec(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+        .await?;
     let h = Matrix::from_col_major(cfg.k, cfg.k, h).expect("projected matrix");
     let eig = sym_eig(&h);
     let x_block = x_loc.matmul(&eig.vectors);
@@ -211,7 +212,9 @@ mod tests {
             shape: TreeShape::GridHierarchical,
             seed: 17,
         };
-        let report = rt.run(|p, world| eigsolve_rank_program(p, world, &layout, &tree, op, &cfg));
+        let report = rt.run_async(async |p, world| {
+            eigsolve_rank_program(p, world, &layout, &tree, op, &cfg).await
+        });
         let wan = report.totals.inter_cluster_msgs();
         let outs: Vec<EigsolveRankOutput> =
             report.ranks.into_iter().map(|r| r.result.unwrap()).collect();

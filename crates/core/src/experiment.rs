@@ -128,12 +128,14 @@ pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
             let layout = DomainLayout::build(rt.topology(), exp.m, exp.n, domains_per_cluster);
             let tree = ReductionTree::build(shape, layout.num_domains(), &layout.clusters());
             match exp.mode {
-                Mode::Real { seed } => rt.run(|p, _| {
+                Mode::Real { seed } => rt.run_async(async |p, _| {
                     tsqr_rank_program(p, &layout, &tree, &cfg, seed, exp.rate_flops)
+                        .await
                         .map(|out| out.r)
                 }),
-                Mode::Symbolic => rt.run(|p, _| {
+                Mode::Symbolic => rt.run_async(async |p, _| {
                     tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, exp.rate_flops)
+                        .await
                         .map(|_| None)
                 }),
             }
@@ -144,16 +146,16 @@ pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
             let chunks = even_chunks(exp.m, procs);
             assert!(!exp.compute_q, "the blocked baseline computes R only");
             match exp.mode {
-                Mode::Real { seed } => rt.run(|p: &mut Process, world| {
+                Mode::Real { seed } => rt.run_async(async |p: &mut Process, world| {
                     let me = world.my_index(p);
                     let row0: u64 = chunks[..me].iter().sum();
                     let local = workload::block(seed, row0, chunks[me] as usize, exp.n);
-                    let out = pdgeqrf(p, world, local, nb, nx, exp.rate_flops)?;
+                    let out = pdgeqrf(p, world, local, nb, nx, exp.rate_flops).await?;
                     Ok(out.r)
                 }),
-                Mode::Symbolic => rt.run(|p, world| {
+                Mode::Symbolic => rt.run_async(async |p, world| {
                     let me = world.my_index(p);
-                    pdgeqrf_symbolic(p, world, chunks[me], exp.n, nb, nx, exp.rate_flops)?;
+                    pdgeqrf_symbolic(p, world, chunks[me], exp.n, nb, nx, exp.rate_flops).await?;
                     Ok(None)
                 }),
             }
@@ -164,24 +166,24 @@ pub fn run_experiment(rt: &Runtime, exp: &Experiment) -> ExperimentResult {
             match exp.mode {
                 Mode::Real { seed } => {
                     assert!(!exp.compute_q, "real-mode ScaLAPACK baseline computes R only");
-                    rt.run(|p: &mut Process, world| {
+                    rt.run_async(async |p: &mut Process, world| {
                         let me = world.my_index(p);
                         let row0: u64 = chunks[..me].iter().sum();
                         let local = workload::block(seed, row0, chunks[me] as usize, exp.n);
-                        let out = pdgeqr2(p, world, local, exp.rate_flops)?;
+                        let out = pdgeqr2(p, world, local, exp.rate_flops).await?;
                         Ok(out.r)
                     })
                 }
-                Mode::Symbolic => rt.run(|p, world| {
+                Mode::Symbolic => rt.run_async(async |p, world| {
                     let me = world.my_index(p);
-                    pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops)?;
+                    pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops).await?;
                     if exp.compute_q {
                         // Table II: forming Q doubles messages, volume and
                         // flops; the back-transformation sweep has the same
                         // per-column reduction structure as the
                         // factorization, so replaying the schedule charges
                         // exactly the doubled cost.
-                        pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops)?;
+                        pdgeqr2_symbolic(p, world, chunks[me], exp.n, exp.rate_flops).await?;
                     }
                     Ok(None)
                 }),

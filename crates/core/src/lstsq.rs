@@ -35,7 +35,7 @@ pub struct LstsqOutput {
 /// The rank program: solves `min ‖A·x − b‖` where this rank supplies its
 /// row slice of `A` and `b` through the two closures. Requires
 /// single-process domains.
-pub fn lstsq_rank_program_with(
+pub async fn lstsq_rank_program_with(
     p: &mut Process,
     world: &Communicator,
     layout: &DomainLayout,
@@ -70,7 +70,7 @@ pub fn lstsq_rank_program_with(
     for step in &tree.steps[d] {
         match *step {
             Step::Recv(from_d) => {
-                let (packed, cvec): (Vec<f64>, Vec<f64>) = p.recv(roots[from_d], TAG_RC)?;
+                let (packed, cvec): (Vec<f64>, Vec<f64>) = p.recv(roots[from_d], TAG_RC).await?;
                 let mut r2 = unpack_upper(n, &packed);
                 let mut c2 = Matrix::from_col_major(n, 1, cvec).expect("c column");
                 let fc = tpqrt(&mut r1, &mut r2);
@@ -91,7 +91,7 @@ pub fn lstsq_rank_program_with(
         trsv(Triangle::Upper, &r.view(), &mut x);
         (x, min_diag)
     });
-    let (x, r_min_diag) = world.bcast(p, 0, payload)?;
+    let (x, r_min_diag) = world.bcast(p, 0, payload).await?;
     Ok(LstsqOutput { x, r_min_diag })
 }
 
@@ -107,7 +107,7 @@ pub fn lstsq_distributed(
     assert_eq!(b.len(), m, "rhs length mismatch");
     let layout = DomainLayout::build(rt.topology(), m as u64, n, domains_per_cluster);
     let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
-    let report = rt.run(|p, world| {
+    let report = rt.run_async(async |p, world| {
         lstsq_rank_program_with(
             p,
             world,
@@ -117,6 +117,7 @@ pub fn lstsq_distributed(
             |row0, rows| a.sub_matrix(row0 as usize, 0, rows, n),
             |row0, rows| (0..rows).map(|i| b[row0 as usize + i]).collect(),
         )
+        .await
     });
     report.ranks.into_iter().next().expect("rank 0").result.expect("solve succeeded")
 }
@@ -249,7 +250,7 @@ mod tests {
                 ReductionTree::build(&TreeShape::Binary, layout.num_domains(), &layout.clusters());
             (layout, tree)
         };
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let r = lstsq_rank_program_with(
                 p,
                 world,
@@ -258,7 +259,8 @@ mod tests {
                 None,
                 |row0, rows| a.sub_matrix(row0 as usize, 0, rows, n),
                 |_row0, rows| vec![1.0; rows],
-            );
+            )
+            .await;
             // The solve may produce huge/naff values; what matters is that
             // the conditioning probe fires.
             match r {

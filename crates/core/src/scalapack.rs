@@ -49,7 +49,7 @@ pub struct Pdgeqr2Output {
 /// hold at least `n` rows** (it owns the pivot rows — always true in the
 /// tall-and-skinny regime where `m/P ≫ n`). `rate_flops` is the per-process
 /// sustained rate used to charge compute time (`None` = model default).
-pub fn pdgeqr2(
+pub async fn pdgeqr2(
     p: &mut Process,
     group: &Communicator,
     mut local: Matrix,
@@ -65,7 +65,7 @@ pub fn pdgeqr2(
     );
     let mut taus = vec![0.0; n];
     p.phase_begin(PHASE_PANEL);
-    panel_columns(p, group, &mut local, 0, n, n, &mut taus, rate_flops)?;
+    panel_columns(p, group, &mut local, 0, n, n, &mut taus, rate_flops).await?;
     p.phase_end();
     let r = is_root.then(|| local.sub_matrix(0, 0, n, n).upper_triangular_padded());
     Ok(Pdgeqr2Output { factored: local, taus, r })
@@ -75,7 +75,7 @@ pub fn pdgeqr2(
 /// [`pdgeqrf`] (panel sweep): factors columns `col0..col0+ncols` of the
 /// distributed block, applying updates to columns up to `update_end`.
 #[allow(clippy::too_many_arguments)]
-fn panel_columns(
+async fn panel_columns(
     p: &mut Process,
     group: &Communicator,
     local: &mut Matrix,
@@ -98,9 +98,9 @@ fn panel_columns(
                 (0.0, col.iter().map(|x| x * x).sum::<f64>())
             }
         };
-        let reduced = group.allreduce(p, vec![alpha_local, ssq_local], |a, b| {
-            vec![a[0] + b[0], a[1] + b[1]]
-        })?;
+        let reduced = group
+            .allreduce(p, vec![alpha_local, ssq_local], |a, b| vec![a[0] + b[0], a[1] + b[1]])
+            .await?;
         let (alpha, ssq) = (reduced[0], reduced[1]);
 
         // Everyone derives the same reflector parameters.
@@ -150,9 +150,9 @@ fn panel_columns(
                     vj.iter().zip(ck).map(|(v, c)| v * c).sum::<f64>()
                 };
             }
-            let w = group.allreduce(p, w_local, |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })?;
+            let w = group
+                .allreduce(p, w_local, |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+                .await?;
             for (t, &wk) in w.iter().enumerate() {
                 let k = j + 1 + t;
                 let tw = tau * wk;
@@ -175,9 +175,11 @@ fn panel_columns(
         } else if trailing > 0 {
             // τ = 0 reflector: H = I, but the schedule still performs the
             // update reduction (ScaLAPACK does not branch on data).
-            let _ = group.allreduce(p, vec![0.0; trailing], |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })?;
+            let _ = group
+                .allreduce(p, vec![0.0; trailing], |a, b| {
+                    a.iter().zip(&b).map(|(x, y)| x + y).collect()
+                })
+                .await?;
         }
         p.compute(
             flops::pdgeqr2_column(m_loc as u64, j as u64, group.size() as u64, trailing as u64),
@@ -189,7 +191,7 @@ fn panel_columns(
 
 /// The symbolic twin of [`pdgeqr2`]: identical message schedule (payload
 /// sizes included) and identical charged flops, no numerical data.
-pub fn pdgeqr2_symbolic(
+pub async fn pdgeqr2_symbolic(
     p: &mut Process,
     group: &Communicator,
     m_loc: u64,
@@ -199,11 +201,11 @@ pub fn pdgeqr2_symbolic(
     p.phase_begin(PHASE_PANEL);
     for j in 0..n {
         // Norm reduction: two f64 values (α and the squared norm).
-        group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
+        group.allreduce(p, Phantom { bytes: 16 }, |a, _| a).await?;
         let trailing = n - j - 1;
         if trailing > 0 {
             // Update reduction: the trailing dot products.
-            group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
+            group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a).await?;
         }
         p.compute(
             flops::pdgeqr2_column(m_loc, j as u64, group.size() as u64, trailing as u64),
@@ -233,7 +235,7 @@ pub const DEFAULT_NX: usize = 128;
 /// significant when there are only a few", which is why ScaLAPACK (and
 /// this routine) falls back to the unblocked sweep once fewer than `nx`
 /// columns remain.
-pub fn pdgeqrf(
+pub async fn pdgeqrf(
     p: &mut Process,
     group: &Communicator,
     mut local: Matrix,
@@ -255,14 +257,14 @@ pub fn pdgeqrf(
         // ScaLAPACK's NX crossover: unblocked once few columns remain.
         if remaining <= nx || nb == 1 {
             p.phase_begin(PHASE_PANEL);
-            panel_columns(p, group, &mut local, j, remaining, n, &mut taus, rate_flops)?;
+            panel_columns(p, group, &mut local, j, remaining, n, &mut taus, rate_flops).await?;
             p.phase_end();
             break;
         }
         let ib = nb.min(remaining);
         // --- Panel factorization (updates confined to the panel). ---
         p.phase_begin(PHASE_PANEL);
-        panel_columns(p, group, &mut local, j, ib, j + ib, &mut taus, rate_flops)?;
+        panel_columns(p, group, &mut local, j, ib, j + ib, &mut taus, rate_flops).await?;
         p.phase_end();
 
         // --- Blocked trailing update (nothing to do on the last panel). ---
@@ -291,9 +293,9 @@ pub fn pdgeqrf(
         // from which T follows locally (the larft recurrence).
         let g_loc = vloc.t_matmul(&vloc);
         p.compute(flops::gemm(ib as u64, ib as u64, m_act as u64), rate_flops);
-        let g_vec = group.allreduce(p, g_loc.into_vec(), |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x + y).collect()
-        })?;
+        let g_vec = group
+            .allreduce(p, g_loc.into_vec(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+            .await?;
         let g = Matrix::from_col_major(ib, ib, g_vec).expect("gram shape");
         let mut t = Matrix::zeros(ib, ib);
         for c in 0..ib {
@@ -314,9 +316,9 @@ pub fn pdgeqrf(
         let c_loc = local.sub_matrix(row0, j + ib, m_act, trail);
         let w_loc = vloc.t_matmul(&c_loc);
         p.compute(flops::gemm(ib as u64, trail as u64, m_act as u64), rate_flops);
-        let w_vec = group.allreduce(p, w_loc.into_vec(), |a, b| {
-            a.iter().zip(&b).map(|(x, y)| x + y).collect()
-        })?;
+        let w_vec = group
+            .allreduce(p, w_loc.into_vec(), |a, b| a.iter().zip(&b).map(|(x, y)| x + y).collect())
+            .await?;
         let mut w = Matrix::from_col_major(ib, trail, w_vec).expect("W shape");
         trmm_upper_left(Trans::Yes, &t.view(), &mut w.view_mut());
         let mut view = local.view_mut();
@@ -334,7 +336,7 @@ pub fn pdgeqrf(
 
 /// The symbolic twin of [`pdgeqrf`]: identical message schedule and
 /// charged flops.
-pub fn pdgeqrf_symbolic(
+pub async fn pdgeqrf_symbolic(
     p: &mut Process,
     group: &Communicator,
     m_loc: u64,
@@ -350,10 +352,10 @@ pub fn pdgeqrf_symbolic(
         if remaining <= nx || nb == 1 {
             p.phase_begin(PHASE_PANEL);
             for jj in j..n {
-                group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
+                group.allreduce(p, Phantom { bytes: 16 }, |a, _| a).await?;
                 let trailing = n - jj - 1;
                 if trailing > 0 {
-                    group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
+                    group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a).await?;
                 }
                 p.compute(flops::pdgeqr2_column(m_loc, jj as u64, g, trailing as u64), rate_flops);
             }
@@ -363,10 +365,10 @@ pub fn pdgeqrf_symbolic(
         let ib = nb.min(remaining);
         p.phase_begin(PHASE_PANEL);
         for jj in j..j + ib {
-            group.allreduce(p, Phantom { bytes: 16 }, |a, _| a)?;
+            group.allreduce(p, Phantom { bytes: 16 }, |a, _| a).await?;
             let trailing = j + ib - jj - 1;
             if trailing > 0 {
-                group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a)?;
+                group.allreduce(p, Phantom { bytes: 8 * trailing as u64 }, |a, _| a).await?;
             }
             p.compute(flops::pdgeqr2_column(m_loc, jj as u64, g, trailing as u64), rate_flops);
         }
@@ -379,9 +381,9 @@ pub fn pdgeqrf_symbolic(
         let row0 = if group.my_index(p) == 0 { j as u64 } else { 0 };
         let m_act = m_loc - row0;
         p.compute(flops::gemm(ib as u64, ib as u64, m_act), rate_flops);
-        group.allreduce(p, Phantom { bytes: 8 * (ib * ib) as u64 }, |a, _| a)?;
+        group.allreduce(p, Phantom { bytes: 8 * (ib * ib) as u64 }, |a, _| a).await?;
         p.compute(flops::gemm(ib as u64, trail, m_act), rate_flops);
-        group.allreduce(p, Phantom { bytes: 8 * ib as u64 * trail }, |a, _| a)?;
+        group.allreduce(p, Phantom { bytes: 8 * ib as u64 * trail }, |a, _| a).await?;
         p.compute(flops::gemm(m_act, trail, ib as u64), rate_flops);
         p.phase_end();
         j += ib;
@@ -422,11 +424,11 @@ mod tests {
     fn distributed_r(procs: usize, seed: u64, m: usize, n: usize) -> (Matrix, u64) {
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let row0: u64 = chunks[..me].iter().sum();
             let local = workload::block(seed, row0, chunks[me] as usize, n);
-            let out = pdgeqr2(p, world, local, None)?;
+            let out = pdgeqr2(p, world, local, None).await?;
             Ok((out.r, p.counters().total_msgs()))
         });
         let msgs = report.ranks[0].result.as_ref().unwrap().1;
@@ -471,16 +473,16 @@ mod tests {
         let (procs, m, n) = (4, 64, 6);
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
-        let real = rt.run(|p, world| {
+        let real = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let row0: u64 = chunks[..me].iter().sum();
             let local = workload::block(11, row0, chunks[me] as usize, n);
-            pdgeqr2(p, world, local, None)?;
+            pdgeqr2(p, world, local, None).await?;
             Ok(())
         });
-        let sym = rt.run(|p, world| {
+        let sym = rt.run_async(async |p, world| {
             let me = world.my_index(p);
-            pdgeqr2_symbolic(p, world, chunks[me], n, None)
+            pdgeqr2_symbolic(p, world, chunks[me], n, None).await
         });
         for (a, b) in real.ranks.iter().zip(&sym.ranks) {
             assert_eq!(a.stats.traffic, b.stats.traffic, "traffic must match");
@@ -497,7 +499,7 @@ mod tests {
         let (m, n, procs) = (40, 4, 4);
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let row0: u64 = chunks[..me].iter().sum();
             let local = Matrix::from_fn(chunks[me] as usize, n, |i, j| {
@@ -507,7 +509,7 @@ mod tests {
                     _ => workload::entry(13, gi, j as u64),
                 }
             });
-            let out = pdgeqr2(p, world, local, None)?;
+            let out = pdgeqr2(p, world, local, None).await?;
             Ok(out.r)
         });
         let r = report.ranks[0].result.clone().unwrap().unwrap();
@@ -535,11 +537,11 @@ mod tests {
             for (nb, nx) in [(4, 0), (4, 100), (3, 5), (12, 0), (1, 0)] {
                 let rt = runtime(procs);
                 let chunks = even_chunks(m as u64, procs);
-                let report = rt.run(|p, world| {
+                let report = rt.run_async(async |p, world| {
                     let me = world.my_index(p);
                     let row0: u64 = chunks[..me].iter().sum();
                     let local = workload::block(23, row0, chunks[me] as usize, n);
-                    let out = pdgeqrf(p, world, local, nb, nx, None)?;
+                    let out = pdgeqrf(p, world, local, nb, nx, None).await?;
                     Ok(out.r)
                 });
                 let r = report.ranks[0].result.clone().unwrap().unwrap();
@@ -557,12 +559,12 @@ mod tests {
         let (m, n, procs) = (96usize, 8usize, 4usize);
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let row0: u64 = chunks[..me].iter().sum();
             let local = workload::block(29, row0, chunks[me] as usize, n);
-            let qrf = pdgeqrf(p, world, local.clone(), 4, n, None)?;
-            let qr2 = pdgeqr2(p, world, local, None)?;
+            let qrf = pdgeqrf(p, world, local.clone(), 4, n, None).await?;
+            let qr2 = pdgeqr2(p, world, local, None).await?;
             Ok((qrf.factored, qr2.factored, qrf.taus, qr2.taus))
         });
         for r in &report.ranks {
@@ -580,16 +582,16 @@ mod tests {
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
         for (nb, nx) in [(3, 4), (4, 0), (10, 0)] {
-            let real = rt.run(|p, world| {
+            let real = rt.run_async(async |p, world| {
                 let me = world.my_index(p);
                 let row0: u64 = chunks[..me].iter().sum();
                 let local = workload::block(31, row0, chunks[me] as usize, n);
-                pdgeqrf(p, world, local, nb, nx, None)?;
+                pdgeqrf(p, world, local, nb, nx, None).await?;
                 Ok(())
             });
-            let sym = rt.run(|p, world| {
+            let sym = rt.run_async(async |p, world| {
                 let me = world.my_index(p);
-                pdgeqrf_symbolic(p, world, chunks[me], n, nb, nx, None)
+                pdgeqrf_symbolic(p, world, chunks[me], n, nb, nx, None).await
             });
             for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
                 assert_eq!(
@@ -614,12 +616,12 @@ mod tests {
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
         let msgs = |blocked: bool| {
-            let report = rt.run(|p, world| {
+            let report = rt.run_async(async |p, world| {
                 let me = world.my_index(p);
                 if blocked {
-                    pdgeqrf_symbolic(p, world, chunks[me], n, 8, 0, None)?;
+                    pdgeqrf_symbolic(p, world, chunks[me], n, 8, 0, None).await?;
                 } else {
-                    pdgeqr2_symbolic(p, world, chunks[me], n, None)?;
+                    pdgeqr2_symbolic(p, world, chunks[me], n, None).await?;
                 }
                 Ok(p.counters().total_msgs())
             });
@@ -638,10 +640,10 @@ mod tests {
         let (procs, m, n) = (2, 64, 8);
         let rt = runtime(procs);
         let chunks = even_chunks(m as u64, procs);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
             let local = workload::block(17, 0, chunks[me] as usize, n);
-            pdgeqr2(p, world, local, None)?;
+            pdgeqr2(p, world, local, None).await?;
             Ok(p.counters().flops)
         });
         let per_rank = flops::pdgeqr2_local(32, n as u64, procs as u64);

@@ -113,7 +113,7 @@ pub fn unpack_upper(n: usize, packed: &[f64]) -> Matrix {
 
 /// The rank program of a numerically real QCG-TSQR run on the seeded
 /// random workload (the experiment configuration of §V).
-pub fn tsqr_rank_program(
+pub async fn tsqr_rank_program(
     p: &mut Process,
     layout: &DomainLayout,
     tree: &ReductionTree,
@@ -125,6 +125,7 @@ pub fn tsqr_rank_program(
     tsqr_rank_program_with(p, layout, tree, cfg, rate_flops, |row0, rows| {
         workload::block(seed, row0, rows, n)
     })
+    .await
 }
 
 /// The rank program of a numerically real QCG-TSQR run over
@@ -134,7 +135,7 @@ pub fn tsqr_rank_program(
 /// it is called exactly once per rank, for the rank's own rows. This is
 /// the entry point applications use to orthonormalize *their* vectors
 /// (e.g. the block eigensolvers of §II-E).
-pub fn tsqr_rank_program_with(
+pub async fn tsqr_rank_program_with(
     p: &mut Process,
     layout: &DomainLayout,
     tree: &ReductionTree,
@@ -163,16 +164,20 @@ pub fn tsqr_rank_program_with(
     let mut r_cur: Option<Matrix>;
     if dom.ranks.len() == 1 {
         let f = QrFactors::compute(&local, DEFAULT_NB);
+        // Every rank's future stays alive until the reduction ends, so
+        // free the block now and keep the leaf's reflectors only when the
+        // down-sweep needs them.
+        drop(local);
         p.compute(flops::geqrf(rows, n as u64), rate_flops);
         r_cur = Some(f.r().upper_triangular_padded());
-        leaf_q = Some(f);
+        leaf_q = cfg.compute_q.then_some(f);
     } else {
         assert!(
             !cfg.compute_q,
             "explicit Q requires single-process domains (use domains_per_cluster = procs)"
         );
         let group = Communicator::from_members(dom.ranks.clone());
-        let out = pdgeqr2(p, &group, local, rate_flops)?;
+        let out = pdgeqr2(p, &group, local, rate_flops).await?;
         r_cur = out.r;
     }
     p.phase_end();
@@ -188,7 +193,7 @@ pub fn tsqr_rank_program_with(
         for step in &tree.steps[d] {
             match *step {
                 Step::Recv(from_d) => {
-                    let packed: Vec<f64> = p.recv(roots[from_d], TAG_R)?;
+                    let packed: Vec<f64> = p.recv(roots[from_d], TAG_R).await?;
                     let mut r2 = unpack_upper(n, &packed);
                     let f = tpqrt(&mut r1, &mut r2);
                     p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
@@ -213,7 +218,7 @@ pub fn tsqr_rank_program_with(
         // Single-process domains only (asserted above), so every rank is a
         // domain root and participates.
         let mut e = match sent_to {
-            Some(parent_d) => p.recv::<Matrix>(roots[parent_d], TAG_E)?,
+            Some(parent_d) => p.recv::<Matrix>(roots[parent_d], TAG_E).await?,
             None => Matrix::identity(n),
         };
         for (f, partner_d) in combine_stack.iter().rev() {
@@ -243,7 +248,7 @@ pub fn tsqr_rank_program_with(
 
 /// The symbolic twin of [`tsqr_rank_program`]: identical schedule and
 /// charged flops, [`Phantom`] payloads, no numerics.
-pub fn tsqr_rank_program_symbolic(
+pub async fn tsqr_rank_program_symbolic(
     p: &mut Process,
     layout: &DomainLayout,
     tree: &ReductionTree,
@@ -266,7 +271,7 @@ pub fn tsqr_rank_program_symbolic(
     } else {
         assert!(!cfg.compute_q, "explicit Q requires single-process domains");
         let group = Communicator::from_members(dom.ranks.clone());
-        pdgeqr2_symbolic(p, &group, rows, n, rate_flops)?;
+        pdgeqr2_symbolic(p, &group, rows, n, rate_flops).await?;
     }
     p.phase_end();
 
@@ -278,7 +283,7 @@ pub fn tsqr_rank_program_symbolic(
         for step in &tree.steps[d] {
             match *step {
                 Step::Recv(from_d) => {
-                    let _: Phantom = p.recv(roots[from_d], TAG_R)?;
+                    let _: Phantom = p.recv(roots[from_d], TAG_R).await?;
                     p.compute(flops::tpqrt(n as u64), cfg.combine_rate_flops.or(rate_flops));
                     n_combines += 1;
                 }
@@ -294,7 +299,7 @@ pub fn tsqr_rank_program_symbolic(
     if cfg.compute_q {
         p.phase_begin(PHASE_DOWNSWEEP);
         if let Some(parent_d) = sent_to {
-            let _: Phantom = p.recv(roots[parent_d], TAG_E)?;
+            let _: Phantom = p.recv(roots[parent_d], TAG_E).await?;
         }
         // Walk the recorded combines in reverse.
         let partners: Vec<usize> = tree.steps[d]
@@ -360,7 +365,8 @@ mod tests {
     ) -> (Matrix, Vec<TsqrRankOutput>, tsqr_gridmpi::RunReport<TsqrRankOutput>) {
         let layout = DomainLayout::build(rt.topology(), m, n, cfg.domains_per_cluster);
         let tree = ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
-        let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None));
+        let report =
+            rt.run_async(async |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).await);
         let outs: Vec<TsqrRankOutput> =
             report.ranks.iter().map(|r| r.result.clone().unwrap()).collect();
         let r = outs[0].r.clone().expect("rank 0 holds R");
@@ -468,11 +474,12 @@ mod tests {
             let layout = DomainLayout::build(rt.topology(), m, n, dpc);
             let tree =
                 ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
-            let real = rt.run(|p, _| {
-                tsqr_rank_program(p, &layout, &tree, &cfg, 37, None).map(|_| ())
+            let real = rt.run_async(async |p, _| {
+                tsqr_rank_program(p, &layout, &tree, &cfg, 37, None).await.map(|_| ())
             });
-            let sym =
-                rt.run(|p, _| tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None));
+            let sym = rt.run_async(async |p, _| {
+                tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None).await
+            });
             for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
                 assert_eq!(
                     a.stats.traffic, b.stats.traffic,
@@ -532,10 +539,14 @@ mod tests {
         let layout = DomainLayout::build(rt.topology(), 128, 4, 2);
         let tree = ReductionTree::build(&cfg.shape, layout.num_domains(), &layout.clusters());
         let m1 = rt
-            .run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 47, None).map(|_| ()))
+            .run_async(async |p, _| {
+                tsqr_rank_program(p, &layout, &tree, &cfg, 47, None).await.map(|_| ())
+            })
             .makespan;
         let m2 = rt
-            .run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 47, None).map(|_| ()))
+            .run_async(async |p, _| {
+                tsqr_rank_program(p, &layout, &tree, &cfg, 47, None).await.map(|_| ())
+            })
             .makespan;
         assert_eq!(m1, m2);
     }

@@ -194,8 +194,9 @@ pub fn replay_makespan(
         combine_rate_flops,
         ..Default::default()
     };
-    let report =
-        rt.run(|p, _| tsqr_rank_program_symbolic(p, layout, &tree, &cfg, rate_flops));
+    let report = rt.run_async(async |p, _| {
+        tsqr_rank_program_symbolic(p, layout, &tree, &cfg, rate_flops).await
+    });
     report.makespan
 }
 

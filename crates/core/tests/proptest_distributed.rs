@@ -71,7 +71,9 @@ proptest! {
         let layout = DomainLayout::build(rt.topology(), m, n, dpc);
         let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
         let cfg = TsqrConfig { shape: shape.clone(), domains_per_cluster: dpc, ..Default::default() };
-        let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None));
+        let report = rt.run_async(async |p, _| {
+            tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).await
+        });
         let r = report.ranks[0].result.as_ref().unwrap().r.clone().unwrap();
         let want = reference_r(seed, m as usize, n);
         prop_assert!(
@@ -100,8 +102,12 @@ proptest! {
         let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
         let compute_q = dpc == procs && (seed % 2 == 0);
         let cfg = TsqrConfig { shape: shape.clone(), domains_per_cluster: dpc, compute_q, ..Default::default() };
-        let real = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).map(|_| ()));
-        let sym = rt.run(|p, _| tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None));
+        let real = rt.run_async(async |p, _| {
+            tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).await.map(|_| ())
+        });
+        let sym = rt.run_async(async |p, _| {
+            tsqr_rank_program_symbolic(p, &layout, &tree, &cfg, None).await
+        });
         for (rank, (a, b)) in real.ranks.iter().zip(&sym.ranks).enumerate() {
             prop_assert_eq!(a.stats.traffic, b.stats.traffic, "rank {}", rank);
             prop_assert!((a.stats.clock.secs() - b.stats.clock.secs()).abs() < 1e-12);
@@ -161,7 +167,9 @@ proptest! {
             ..Default::default()
         };
         let run = || {
-            rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).map(|_| ()))
+            rt.run_async(async |p, _| {
+                tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).await.map(|_| ())
+            })
                 .ranks
                 .iter()
                 .map(|r| r.stats.clock.secs())

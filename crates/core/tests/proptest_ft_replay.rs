@@ -46,9 +46,7 @@ fn grid4() -> Runtime {
             }
         }
     }
-    let mut rt = Runtime::new(topo, model);
-    rt.set_recv_timeout(std::time::Duration::from_secs(5));
-    rt
+    Runtime::new(topo, model)
 }
 
 fn cfg() -> TsqrConfig {
@@ -98,8 +96,8 @@ fn run_ft(scenario: &Scenario) -> (Matrix, f64, Vec<usize>, String) {
     let layout = DomainLayout::build(rt.topology(), M, N, 4);
     let tree = ReductionTree::build(&TreeShape::GridHierarchical, RANKS, &layout.clusters());
     let c = cfg();
-    let report = rt.run(|p, _| {
-        ft_tsqr_rank_program(p, &layout, &tree, &c, scenario.workload_seed, None)
+    let report = rt.run_async(async |p, _| {
+        ft_tsqr_rank_program(p, &layout, &tree, &c, scenario.workload_seed, None).await
     });
     let makespan = report.makespan.secs();
     let chrome = report.trace.as_ref().expect("tracing enabled").chrome_json();
@@ -124,7 +122,9 @@ fn reference_r(workload_seed: u64) -> Matrix {
     let layout = DomainLayout::build(rt.topology(), M, N, 4);
     let tree = ReductionTree::build(&TreeShape::GridHierarchical, RANKS, &layout.clusters());
     let c = cfg();
-    let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &c, workload_seed, None));
+    let report = rt.run_async(async |p, _| {
+        tsqr_rank_program(p, &layout, &tree, &c, workload_seed, None).await
+    });
     report.ranks[0].result.clone().unwrap().r.unwrap()
 }
 

@@ -98,7 +98,12 @@ impl Communicator {
 
     /// Broadcast from member `root_idx`: the root passes `Some(value)`,
     /// everyone receives the value.
-    pub fn bcast<M>(&self, p: &mut Process, root_idx: usize, value: Option<M>) -> Result<M, CommError>
+    pub async fn bcast<M>(
+        &self,
+        p: &mut Process,
+        root_idx: usize,
+        value: Option<M>,
+    ) -> Result<M, CommError>
     where
         M: WirePayload + Clone,
     {
@@ -117,7 +122,7 @@ impl Communicator {
             if rel & mask != 0 {
                 let parent_rel = rel - mask;
                 let parent = self.members[(parent_rel + root_idx) % size];
-                val = Some(p.recv::<M>(parent, TAG_BCAST)?);
+                val = Some(p.recv::<M>(parent, TAG_BCAST).await?);
                 break;
             }
             mask <<= 1;
@@ -142,7 +147,7 @@ impl Communicator {
     /// `op` must be associative; the reduction order is
     /// `op(lower-index, higher-index)`, so non-commutative operators still
     /// produce deterministic results.
-    pub fn reduce<M, F>(
+    pub async fn reduce<M, F>(
         &self,
         p: &mut Process,
         root_idx: usize,
@@ -164,7 +169,7 @@ impl Communicator {
                 let src_rel = rel | mask;
                 if src_rel < size {
                     let src = self.members[(src_rel + root_idx) % size];
-                    let other = p.recv::<M>(src, TAG_REDUCE)?;
+                    let other = p.recv::<M>(src, TAG_REDUCE).await?;
                     val = op(val, other);
                 }
             } else {
@@ -183,7 +188,7 @@ impl Communicator {
     /// On `P = 2^k` members this is `log₂(P)` full-duplex exchange rounds —
     /// the message count the paper charges per `PDGEQR2` column reduction.
     /// Non-powers-of-two use the standard fold-in/fold-out fixup.
-    pub fn allreduce<M, F>(&self, p: &mut Process, value: M, op: F) -> Result<M, CommError>
+    pub async fn allreduce<M, F>(&self, p: &mut Process, value: M, op: F) -> Result<M, CommError>
     where
         M: WirePayload + Clone,
         F: Fn(M, M) -> M,
@@ -200,7 +205,7 @@ impl Communicator {
                 p.send(self.members[me + 1], TAG_ALLREDUCE, val.clone())?;
                 None
             } else {
-                let other = p.recv::<M>(self.members[me - 1], TAG_ALLREDUCE)?;
+                let other = p.recv::<M>(self.members[me - 1], TAG_ALLREDUCE).await?;
                 val = op(other, val);
                 Some(me / 2)
             }
@@ -217,7 +222,7 @@ impl Communicator {
                 } else {
                     self.members[partner_new + rem]
                 };
-                let got = p.exchange(partner, TAG_ALLREDUCE, val.clone())?;
+                let got = p.exchange(partner, TAG_ALLREDUCE, val.clone()).await?;
                 val = if partner_new < newidx { op(got, val) } else { op(val, got) };
                 mask <<= 1;
             }
@@ -228,7 +233,7 @@ impl Communicator {
             if !me.is_multiple_of(2) {
                 p.send(self.members[me - 1], TAG_ALLREDUCE, val.clone())?;
             } else {
-                val = p.recv::<M>(self.members[me + 1], TAG_ALLREDUCE)?;
+                val = p.recv::<M>(self.members[me + 1], TAG_ALLREDUCE).await?;
             }
         }
         Ok(val)
@@ -236,7 +241,7 @@ impl Communicator {
 
     /// Binomial-tree gather to member `root_idx`: the root receives every
     /// member's value in member order, others get `None`.
-    pub fn gather<M>(
+    pub async fn gather<M>(
         &self,
         p: &mut Process,
         root_idx: usize,
@@ -256,7 +261,7 @@ impl Communicator {
                 let src_rel = rel | mask;
                 if src_rel < size {
                     let src = self.members[(src_rel + root_idx) % size];
-                    let mut batch = p.recv::<Vec<(usize, M)>>(src, TAG_GATHER)?;
+                    let mut batch = p.recv::<Vec<(usize, M)>>(src, TAG_GATHER).await?;
                     collected.append(&mut batch);
                 }
             } else {
@@ -273,21 +278,21 @@ impl Communicator {
 
     /// Gather to member 0, then broadcast: every member gets all values in
     /// member order.
-    pub fn allgather<M>(&self, p: &mut Process, value: M) -> Result<Vec<M>, CommError>
+    pub async fn allgather<M>(&self, p: &mut Process, value: M) -> Result<Vec<M>, CommError>
     where
         M: WirePayload + Clone,
     {
-        let gathered = self.gather(p, 0, value)?;
-        self.bcast(p, 0, gathered)
+        let gathered = self.gather(p, 0, value).await?;
+        self.bcast(p, 0, gathered).await
     }
 
     /// Synchronizes all members (an allreduce of the empty payload): no
     /// member's clock can leave the barrier before every member entered it.
-    pub fn barrier(&self, p: &mut Process) -> Result<(), CommError> {
+    pub async fn barrier(&self, p: &mut Process) -> Result<(), CommError> {
         if self.size() == 1 {
             return Ok(());
         }
-        self.allreduce(p, (), |_, _| ())
+        self.allreduce(p, (), |_, _| ()).await
     }
 }
 
@@ -316,9 +321,9 @@ mod tests {
         for n in [1, 2, 3, 5, 8] {
             for root in [0, n - 1, n / 2] {
                 let rt = runtime(n);
-                let report = rt.run(|p, world| {
+                let report = rt.run_async(async |p, world| {
                     let v = if world.my_index(p) == root { Some(42.0f64) } else { None };
-                    world.bcast(p, root, v)
+                    world.bcast(p, root, v).await
                 });
                 for r in &report.ranks {
                     assert_eq!(*r.result.as_ref().unwrap(), 42.0);
@@ -331,9 +336,9 @@ mod tests {
     fn reduce_sums_to_root() {
         for n in [1, 2, 4, 6, 7, 16] {
             let rt = runtime(n);
-            let report = rt.run(|p, world| {
+            let report = rt.run_async(async |p, world| {
                 let me = world.my_index(p) as f64;
-                world.reduce(p, 0, me, |a, b| a + b)
+                world.reduce(p, 0, me, |a, b| a + b).await
             });
             let want = (n * (n - 1) / 2) as f64;
             assert_eq!(report.ranks[0].result.clone().unwrap(), Some(want));
@@ -347,9 +352,9 @@ mod tests {
     fn allreduce_sum_everywhere() {
         for n in [1, 2, 3, 4, 5, 8, 13, 16] {
             let rt = runtime(n);
-            let report = rt.run(|p, world| {
+            let report = rt.run_async(async |p, world| {
                 let me = world.my_index(p) as f64;
-                world.allreduce(p, me, |a, b| a + b)
+                world.allreduce(p, me, |a, b| a + b).await
             });
             let want = (n * (n - 1) / 2) as f64;
             for (rank, r) in report.ranks.iter().enumerate() {
@@ -361,11 +366,13 @@ mod tests {
     #[test]
     fn allreduce_vector_payload() {
         let rt = runtime(4);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p) as f64;
-            world.allreduce(p, vec![me, 2.0 * me], |a, b| {
-                a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })
+            world
+                .allreduce(p, vec![me, 2.0 * me], |a, b| {
+                    a.iter().zip(&b).map(|(x, y)| x + y).collect()
+                })
+                .await
         });
         for r in &report.ranks {
             assert_eq!(r.result.clone().unwrap(), vec![6.0, 12.0]);
@@ -376,9 +383,9 @@ mod tests {
     fn allreduce_message_count_is_log2_for_power_of_two() {
         let n = 16;
         let rt = runtime(n);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p) as f64;
-            world.allreduce(p, me, |a, b| a + b)?;
+            world.allreduce(p, me, |a, b| a + b).await?;
             Ok(p.counters().total_msgs())
         });
         for r in &report.ranks {
@@ -390,9 +397,9 @@ mod tests {
     fn gather_collects_in_member_order() {
         for n in [1, 2, 5, 8] {
             let rt = runtime(n);
-            let report = rt.run(|p, world| {
+            let report = rt.run_async(async |p, world| {
                 let me = world.my_index(p) as f64;
-                world.gather(p, 0, me * 10.0)
+                world.gather(p, 0, me * 10.0).await
             });
             let want: Vec<f64> = (0..n).map(|i| i as f64 * 10.0).collect();
             assert_eq!(report.ranks[0].result.clone().unwrap(), Some(want));
@@ -402,9 +409,9 @@ mod tests {
     #[test]
     fn allgather_everywhere() {
         let rt = runtime(6);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let me = world.my_index(p);
-            world.allgather(p, me as u64)
+            world.allgather(p, me as u64).await
         });
         let want: Vec<u64> = (0..6).collect();
         for r in &report.ranks {
@@ -416,11 +423,11 @@ mod tests {
     fn split_by_groups_and_collectives_within_groups() {
         // 8 ranks, two colors (even/odd); sum within each group.
         let rt = runtime(8);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             let group = world.split_by(p, |r| (r % 2) as u64, |r| r as u64);
             assert_eq!(group.size(), 4);
             let me = p.rank() as f64;
-            group.allreduce(p, me, |a, b| a + b)
+            group.allreduce(p, me, |a, b| a + b).await
         });
         for (rank, r) in report.ranks.iter().enumerate() {
             let want = if rank % 2 == 0 { 0.0 + 2.0 + 4.0 + 6.0 } else { 1.0 + 3.0 + 5.0 + 7.0 };
@@ -431,12 +438,12 @@ mod tests {
     #[test]
     fn barrier_aligns_clocks() {
         let rt = runtime(4);
-        let report = rt.run(|p, world| {
+        let report = rt.run_async(async |p, world| {
             // Rank 3 does heavy work before the barrier.
             if p.rank() == 3 {
                 p.compute(5_000_000_000, None); // 5 s at 1 Gflop/s
             }
-            world.barrier(p)?;
+            world.barrier(p).await?;
             Ok(p.clock().secs())
         });
         for r in &report.ranks {
@@ -451,12 +458,14 @@ mod tests {
         // overkill; use (sum, first-index) pairs where order matters.
         let rt = runtime(8);
         let run = || {
-            rt.run(|p, world| {
+            rt.run_async(async |p, world| {
                 let me = world.my_index(p) as f64;
-                world.reduce(p, 0, vec![me], |mut a, b| {
-                    a.extend(b);
-                    a
-                })
+                world
+                    .reduce(p, 0, vec![me], |mut a, b| {
+                        a.extend(b);
+                        a
+                    })
+                    .await
             })
             .ranks[0]
                 .result

@@ -25,7 +25,7 @@
 //!
 //! The taxonomy follows the wait-state notions of the Scalasca line of
 //! tools, adapted to this runtime's semantics (blocking sends, eager
-//! buffered delivery, per-source FIFO channels). Interpretation guidance
+//! buffered delivery, per-source FIFO mailboxes). Interpretation guidance
 //! lives in `docs/observability.md` §8.
 
 use std::collections::BTreeMap;

@@ -34,20 +34,10 @@ pub enum CommError {
         /// Transmission attempts made before giving up.
         attempts: u32,
     },
-    /// A receive waited past the wall-clock safety timeout — almost always
-    /// a deadlocked or crashed peer in a test program.
-    Timeout {
-        /// The rank that was waiting.
-        rank: usize,
-        /// The rank it was waiting for.
-        from: usize,
-    },
-    /// A wall-clock receive timeout that the happens-before analyzer
-    /// resolved into a **wait-for cycle**: a true communication deadlock,
-    /// not merely a slow peer. Produced by [`crate::Runtime`] when
-    /// tracing is enabled — the runtime upgrades [`CommError::Timeout`]
-    /// whenever the timed-out rank sits on a cycle in the trace's
-    /// wait-for graph (see `crate::hb` and `docs/static-analysis.md`).
+    /// A receive on a **wait-for cycle**: every rank left was waiting
+    /// and this one's wait leads back to itself, a true communication
+    /// deadlock. Issued by [`crate::Runtime`] when the run goes quiescent,
+    /// with or without tracing (see `docs/static-analysis.md`).
     Deadlock {
         /// The rank that was waiting.
         rank: usize,
@@ -57,11 +47,14 @@ pub enum CommError {
         /// … waited on `cycle[0]`.
         cycle: Vec<usize>,
     },
-    /// The peer thread terminated (channel disconnected) before sending.
+    /// The peer will never send: its program returned (an abort
+    /// tombstone, or the run went quiescent after it finished) while this
+    /// rank was still waiting on it. For a wildcard receive `from` is the
+    /// waiting rank itself.
     PeerGone {
         /// The rank that was waiting.
         rank: usize,
-        /// The rank whose channel closed.
+        /// The rank it was waiting for.
         from: usize,
     },
     /// A message arrived with an unexpected tag — a protocol bug in the
@@ -93,9 +86,6 @@ impl fmt::Display for CommError {
                     f,
                     "message {src} -> {dst} lost in transit ({attempts} attempts)"
                 )
-            }
-            CommError::Timeout { rank, from } => {
-                write!(f, "rank {rank} timed out waiting for a message from {from}")
             }
             CommError::Deadlock { rank, from, cycle } => {
                 write!(

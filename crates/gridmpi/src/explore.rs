@@ -6,7 +6,7 @@
 //! interleaving; for this runtime the only schedule freedom a rank
 //! program can observe is the inter-source order of its pending buffer
 //! (named receives pin their source; per-source FIFO is guaranteed by
-//! the channels). So it suffices to permute exactly that freedom:
+//! the mailboxes). So it suffices to permute exactly that freedom:
 //! [`explore`] runs the program once per [`DeliveryOrder`] — arrival
 //! order, source-ascending, source-descending, and a battery of seeded
 //! pseudo-random legal permutations — and compares
@@ -145,7 +145,7 @@ impl ExploreReport {
 /// the [module docs](mod@crate::explore).
 ///
 /// `make_runtime` must return an identically-configured runtime each
-/// call (same topology, cost model, failure schedule, recv timeout);
+/// call (same topology, cost model and failure schedule);
 /// `explore` installs the delivery order and tracing itself.
 pub fn explore<T, Rt, P, D>(
     make_runtime: Rt,
@@ -156,7 +156,7 @@ pub fn explore<T, Rt, P, D>(
 where
     T: Send,
     Rt: Fn() -> Runtime,
-    P: Fn(&mut Process, &Communicator) -> Result<T, CommError> + Sync,
+    P: AsyncFn(&mut Process, &Communicator) -> Result<T, CommError> + Sync,
     D: Fn(&T) -> u64,
 {
     let mut runs: Vec<ScheduleRun> = Vec::with_capacity(orders.len());
@@ -168,7 +168,7 @@ where
         let mut rt = make_runtime();
         rt.enable_tracing();
         rt.set_delivery_order(order);
-        let report = rt.run(|p, c| program(p, c));
+        let report = rt.run_async(&program);
         let rank_digests: Vec<Result<u64, String>> = report
             .ranks
             .iter()
@@ -249,11 +249,11 @@ mod tests {
         // order — deterministic by construction.
         let rep = explore(
             || tiny_runtime(4),
-            |p, _| {
+            async |p, _| {
                 if p.rank() == 0 {
                     let mut acc = 0.0f64;
                     for src in 1..p.size() {
-                        acc += p.recv::<f64>(src, 1)?;
+                        acc += p.recv::<f64>(src, 1).await?;
                     }
                     Ok(acc)
                 } else {
@@ -278,11 +278,11 @@ mod tests {
         // either way determinism is NOT proved.
         let rep = explore(
             || tiny_runtime(4),
-            |p, _| {
+            async |p, _| {
                 if p.rank() == 0 {
                     let mut acc = 1.0f64;
                     for _ in 1..p.size() {
-                        let (_, x) = p.recv_any::<f64>(1)?;
+                        let (_, x) = p.recv_any::<f64>(1).await?;
                         acc = acc * 2.0 + x; // order-sensitive fold
                     }
                     Ok(acc)

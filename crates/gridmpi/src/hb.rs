@@ -16,11 +16,11 @@
 //!   some *rival* send to the same rank with the same tag was concurrent
 //!   with the receive, so a different delivery order could have matched
 //!   it instead. Named receives cannot race by construction (they name
-//!   their source and channels are FIFO per source), so only wildcard
+//!   their source and mailboxes are FIFO per source), so only wildcard
 //!   receives are candidates.
 //! * **Deadlock cycles** — cycles in the wait-for graph built from
-//!   [`FaultKind::DeadlockSuspect`] markers (the wall-clock receive
-//!   safety net firing), plus structural cycles in the HB DAG itself
+//!   [`FaultKind::DeadlockSuspect`] markers (receives still waiting when
+//!   the run went quiescent), plus structural cycles in the HB DAG itself
 //!   (impossible in a trace of a completed run, but checkable for
 //!   synthetic or corrupted traces).
 //! * **Orphans** — sends never opened by a receive, and receives with no
@@ -460,14 +460,13 @@ impl Trace {
             hb_cycles.push(stuck.into_iter().collect());
         }
 
-        // Wait-for graph from orphaned-wait markers: the wall-clock
-        // safety net firing (`DeadlockSuspect`) and aborts observed
-        // *mid-receive* (`PeerAborted` — the blocked rank was waiting on
-        // exactly that peer when its abort tombstone arrived; in a mutual
-        // deadlock the first rank to time out aborts, which is how the
-        // second rank's wait surfaces). A cycle still requires someone to
-        // have genuinely timed out: abort cascades alone are acyclic,
-        // because an aborted rank is no longer waiting on anyone.
+        // Wait-for graph from orphaned-wait markers: receives resolved at
+        // quiescence (`DeadlockSuspect`) and aborts observed *mid-receive*
+        // (`PeerAborted` — the blocked rank was waiting on exactly that
+        // peer when its abort tombstone arrived). A cycle still requires
+        // some receive to have been stuck at quiescence: abort cascades
+        // alone are acyclic, because an aborted rank is no longer waiting
+        // on anyone.
         let suspects = collect_suspects(self);
         let deadlock_cycles = wait_for_cycles(&suspects);
 
@@ -494,17 +493,10 @@ impl Trace {
             suspects,
         }
     }
-
-    /// Just the wait-for deadlock cycles (ranks), without the full
-    /// analysis — used by [`crate::RunOutcome::summary`] to name the
-    /// cycle behind a timeout.
-    pub fn deadlock_cycles(&self) -> Vec<Vec<usize>> {
-        wait_for_cycles(&collect_suspects(self))
-    }
 }
 
 /// The deduplicated `(waiter, awaited)` edges of the wait-for graph:
-/// wall-clock timeout markers plus aborts observed mid-receive (see
+/// quiescence markers plus aborts observed mid-receive (see
 /// [`Trace::hb_analysis`] for why both count as waits).
 fn collect_suspects(trace: &Trace) -> Vec<(usize, usize)> {
     let mut suspects: Vec<(usize, usize)> = Vec::new();
@@ -524,9 +516,11 @@ fn collect_suspects(trace: &Trace) -> Vec<(usize, usize)> {
 }
 
 /// Cycles in the `(waiter → awaited)` graph, self-loops excluded
-/// (a wildcard-receive timeout points at the waiter itself). Each cycle
+/// (a stuck wildcard receive points at the waiter itself). The
+/// executor uses the same function to name the cycle in
+/// [`CommError::Deadlock`](crate::CommError::Deadlock). Each cycle
 /// is rotated so its smallest rank leads; duplicates are removed.
-fn wait_for_cycles(suspects: &[(usize, usize)]) -> Vec<Vec<usize>> {
+pub(crate) fn wait_for_cycles(suspects: &[(usize, usize)]) -> Vec<Vec<usize>> {
     let mut adj: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     for &(w, a) in suspects {
         if w != a {
@@ -807,7 +801,6 @@ mod tests {
         let t = Trace::from_parts(vec![fault(0, 1), fault(1, 0), fault(2, 0)]);
         let r = t.hb_analysis();
         assert_eq!(r.deadlock_cycles, vec![vec![0, 1]]);
-        assert_eq!(t.deadlock_cycles(), vec![vec![0, 1]]);
         assert!(!r.ok());
         assert!(r.render().contains("DEADLOCK CYCLE: 0 → 1 → 0"));
         assert_eq!(r.suspects, vec![(0, 1), (1, 0), (2, 0)]);

@@ -1,22 +1,24 @@
-//! An MPI-like message-passing runtime over OS threads, with deterministic
-//! virtual time and per-link-class traffic accounting.
+//! An MPI-like message-passing runtime whose ranks run as futures on a
+//! small pool of worker threads, with deterministic virtual time and
+//! per-link-class traffic accounting.
 //!
 //! This crate plays the role Open MPI / QCG-OMPI plays in the paper: rank
 //! programs written against [`Process`] (point-to-point `send`/`recv`) and
 //! [`Communicator`] (tree collectives, `split`) execute with *real data
-//! movement* between threads, while every message and every kernel call
+//! movement* between ranks, while every message and every kernel call
 //! advances a per-rank **virtual clock** priced by the
 //! [`tsqr_netsim::CostModel`]:
 //!
-//! * a blocking send from `a` to `b` of `v` bytes completes at
+//! * a send from `a` to `b` of `v` bytes completes at
 //!   `clock_a + β(a,b) + α(a,b)·v` and the message carries that timestamp;
-//! * a receive sets `clock_b := max(clock_b, arrival)`;
+//! * a receive (an `async fn`: the rank's future waits on its mailbox)
+//!   sets `clock_b := max(clock_b, arrival)`;
 //! * `compute(flops)` adds `flops·γ`.
 //!
 //! Because every rank program is deterministic and receives name their
 //! source, the resulting clocks are reproducible regardless of the real
-//! thread schedule — the simulation is a conservative parallel
-//! discrete-event simulation in disguise. The **makespan** (max final
+//! schedule or the number of worker threads — the simulation is a
+//! conservative parallel discrete-event simulation in disguise. The **makespan** (max final
 //! clock) is the quantity the paper's Eq. (1) models, and the per-rank
 //! message/byte counters (classified intra-node / intra-cluster /
 //! inter-cluster) are what Tables I–II and Figs. 1–2 count.
@@ -54,6 +56,7 @@ pub mod comm;
 pub mod critical;
 pub mod diagnose;
 pub mod error;
+mod exec;
 pub mod explore;
 pub mod hb;
 pub mod message;
@@ -73,8 +76,8 @@ pub use hb::{HbReport, ReceiveRace, VectorClock, Violation};
 pub use message::WirePayload;
 pub use metrics::{Histogram, MetricsRegistry, PhaseCounters};
 pub use process::{
-    DeliveryOrder, Process, RankStats, TrafficCounters, DEFAULT_RECV_TIMEOUT,
-    DETECTION_LATENCY_FACTOR, MAX_SEND_ATTEMPTS,
+    DeliveryOrder, Process, RankStats, TrafficCounters, DETECTION_LATENCY_FACTOR,
+    MAX_SEND_ATTEMPTS,
 };
 pub use profile::FoldedProfile;
 pub use runtime::{RankResult, RunOutcome, RunReport, Runtime};

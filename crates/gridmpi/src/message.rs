@@ -9,7 +9,7 @@ use tsqr_netsim::VirtualTime;
 ///
 /// `wire_bytes` is what the cost model charges for the payload — the size
 /// the data would occupy on the wire (8 bytes per `f64`, etc.). Payloads
-/// move between threads by ownership, so no serialization happens; the
+/// move between ranks by ownership, so no serialization happens; the
 /// byte count exists purely for pricing, mirroring how the paper's model
 /// (Eq. (1)) charges `α · volume`.
 pub trait WirePayload: Send + 'static {
@@ -88,7 +88,7 @@ impl WirePayload for Phantom {
 ///
 /// Tombstones (`Crash` / `Abort`) are *control* envelopes: they are never
 /// matched against a `recv`, carry no payload cost, and exist so that a
-/// peer's death propagates in **virtual** time (through the channel, FIFO
+/// peer's death propagates in **virtual** time (through the mailbox, FIFO
 /// after the dead rank's last real message) instead of being guessed from
 /// the wall clock.
 #[derive(Debug, Clone, Copy, PartialEq)]

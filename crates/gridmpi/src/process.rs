@@ -1,37 +1,18 @@
 //! The per-rank handle: point-to-point messaging, virtual clock, counters.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::future::poll_fn;
 use std::sync::Arc;
-use std::time::Duration;
-
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 
 use tsqr_netsim::{
     CostModel, FailureSchedule, GridTopology, LinkClass, ProcLocation, VirtualTime,
 };
 
 use crate::error::CommError;
+use crate::exec::{PostOffice, Wait};
 use crate::message::{Envelope, EnvelopeKind, WirePayload};
 use crate::metrics::MetricsRegistry;
 use crate::trace::{Event, EventKind, FaultKind, Recorder};
-
-/// Default **wall-clock** safety net for receives.
-///
-/// Two clocks exist in this simulator and must not be confused (see
-/// `docs/fault-injection.md`):
-///
-/// * the **virtual** clock prices everything (Eq. (1)) and drives the
-///   failure detector — a peer's death is *detected* at
-///   `crash time + `[`Process::failure_deadline`], a per-link-class
-///   deadline derived from the cost model;
-/// * the **wall** clock only guards the simulator itself: a rank blocked
-///   longer than this real-time duration on an OS channel is assumed
-///   deadlocked (protocol bug, or a peer that terminated without a
-///   tombstone). It never influences virtual time or determinism.
-///
-/// Override per runtime with [`crate::Runtime::set_recv_timeout`] or the
-/// `grid-tsqr --recv-timeout` CLI flag.
-pub const DEFAULT_RECV_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Failure-detector slack: a silent peer is declared dead this many
 /// zero-payload one-way message times (of the link class between the two
@@ -59,7 +40,7 @@ pub const MAX_SEND_ATTEMPTS: u32 = 4;
 /// names the racing receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryOrder {
-    /// OS-channel arrival order (the default; what a real network does).
+    /// Mailbox arrival order (the default; what a real network does).
     #[default]
     Arrival,
     /// Buffered messages sort by ascending source rank.
@@ -141,8 +122,8 @@ pub struct RankStats {
 
 /// A rank's handle to the simulated machine.
 ///
-/// Created by [`crate::Runtime::run`] and passed to the rank program; all
-/// communication, timing and accounting goes through it.
+/// Created by [`crate::Runtime::run_async`] and passed to the rank
+/// program; all communication, timing and accounting goes through it.
 pub struct Process {
     pub(crate) rank: usize,
     pub(crate) size: usize,
@@ -160,10 +141,11 @@ pub struct Process {
     /// Per-destination transmission sequence numbers (indexes the
     /// schedule's drop rules).
     pub(crate) sent_seq: Vec<u64>,
-    /// Every rank's channel, indexed by destination; one table shared by
-    /// all ranks of a run.
-    pub(crate) senders: Arc<[Sender<Envelope>]>,
-    pub(crate) inbox: Receiver<Envelope>,
+    /// Every rank's mailbox; one table shared by all ranks of a run.
+    pub(crate) post: Arc<PostOffice>,
+    /// Envelopes taken from this rank's mailbox but not yet routed, in
+    /// arrival order.
+    pub(crate) arrived: VecDeque<Envelope>,
     /// Messages that arrived while waiting for a different source.
     pub(crate) pending: VecDeque<Envelope>,
     pub(crate) clock: VirtualTime,
@@ -173,8 +155,6 @@ pub struct Process {
     /// for free.
     pub(crate) nic_free: VirtualTime,
     pub(crate) counters: TrafficCounters,
-    /// Wall-clock deadlock safety net for receives.
-    pub(crate) recv_timeout: Duration,
     /// Event recorder (present when the runtime enabled tracing).
     pub(crate) recorder: Option<Recorder>,
     /// Open phases, innermost last: `(name, virtual time at begin)`.
@@ -291,13 +271,13 @@ impl Process {
     /// Runs `f` inside a phase (begin/end are paired even on early
     /// `?` returns inside `f` — the result is propagated after the
     /// phase closes).
-    pub fn with_phase<R>(
+    pub async fn with_phase<R>(
         &mut self,
         name: &'static str,
-        f: impl FnOnce(&mut Self) -> R,
+        f: impl AsyncFnOnce(&mut Self) -> R,
     ) -> R {
         self.phase_begin(name);
-        let out = f(self);
+        let out = f(self).await;
         self.phase_end();
         out
     }
@@ -349,9 +329,7 @@ impl Process {
     /// peer is declared dead [`DETECTION_LATENCY_FACTOR`] zero-payload
     /// one-way message times (Eq. (1), per the link class between the
     /// two ranks) after its crash instant. Derived from the cost model —
-    /// **not** a wall-clock guess; the wall-clock
-    /// [`crate::Runtime::set_recv_timeout`] remains only a simulator
-    /// deadlock net.
+    /// **not** a wall-clock guess.
     pub fn failure_deadline(&self, peer: usize) -> VirtualTime {
         let from = self.topo.location(peer);
         let one_way = self.model.message_time(from, self.location(), 0);
@@ -378,16 +356,14 @@ impl Process {
         self.death_announced = true;
         for dst in 0..self.size {
             if dst != self.rank {
-                // A peer that already returned has dropped its inbox;
-                // nothing left to notify.
-                let _ = self.senders[dst].send(Envelope::tombstone(self.rank, kind));
+                self.post.deliver(dst, Envelope::tombstone(self.rank, kind));
             }
         }
     }
 
     /// Tombstone broadcast for a rank program that returned an error
-    /// (called by the runtime so peers fail fast in virtual time instead
-    /// of hitting the wall-clock net).
+    /// (called by the runtime so peers waiting on this rank fail in
+    /// virtual time).
     pub(crate) fn announce_abort(&mut self) {
         self.announce_death(EnvelopeKind::Abort { at: self.clock });
     }
@@ -433,7 +409,8 @@ impl Process {
         err
     }
 
-    /// Blocking send of `msg` to `dst`.
+    /// Send of `msg` to `dst`. Never waits for the receiver, so it is
+    /// not `async`.
     ///
     /// Completes (and advances this rank's clock) at
     /// `clock + β + α·wire_bytes`; the message arrives at the same instant,
@@ -527,11 +504,10 @@ impl Process {
                 kind: EnvelopeKind::Data { dropped },
                 payload: Box::new(msg),
             };
-            // Unbounded channel: never blocks. A disconnected receiver means
-            // the peer thread already returned — surface that as PeerGone.
-            self.senders[dst]
-                .send(env)
-                .map_err(|_| CommError::PeerGone { rank: self.rank, from: dst })?;
+            // Unbounded mailbox: never blocks. A rank that already
+            // returned keeps its mailbox until the run ends, so the message
+            // is priced and simply never read.
+            self.post.deliver(dst, env);
             return if dropped {
                 Err(CommError::MessageDropped { src: self.rank, dst, attempts })
             } else {
@@ -540,23 +516,22 @@ impl Process {
         }
     }
 
-    /// Blocking receive of a message from `src` with tag `tag`.
+    /// Receive of a message from `src` with tag `tag`; waits (as a
+    /// future) until it arrives.
     ///
     /// Advances the clock to the message's arrival time (if later). Messages
     /// from other sources that arrive in the meantime are buffered;
     /// tombstones (peer deaths) are recorded as they are encountered, and
     /// a tombstone from `src` itself ends the wait at the virtual-time
     /// detection deadline with a typed error (see
-    /// [`Process::failure_deadline`]).
-    // archlint: allow(taint) — the `.recv_timeout(` below is the
-    // simulator's wall-clock deadlock safety net: virtual time never
-    // observes the reading; on expiry the run *fails* with
-    // CommError::Timeout instead of hanging CI. Same exception as the
-    // commlint `wall-clock` allow entry for this file.
-    pub fn recv<M: WirePayload>(&mut self, src: usize, tag: u32) -> Result<M, CommError> {
+    /// [`Process::failure_deadline`]). When the run goes quiescent with
+    /// this receive still waiting, it ends with the executor's verdict:
+    /// [`CommError::PeerGone`] if `src` already returned, or
+    /// [`CommError::Deadlock`] if the two sit on a wait-for cycle.
+    pub async fn recv<M: WirePayload>(&mut self, src: usize, tag: u32) -> Result<M, CommError> {
         assert!(src < self.size, "recv from nonexistent rank {src}");
         self.check_alive()?;
-        // Check the pending buffer first (FIFO per source). Channel order
+        // Check the pending buffer first (FIFO per source). Mailbox order
         // guarantees any data `src` sent before dying was buffered before
         // its tombstone was recorded, so data wins over the death check.
         if let Some(pos) = self.pending.iter().position(|e| e.src == src) {
@@ -569,53 +544,36 @@ impl Process {
         }
         let wait_start = self.clock;
         loop {
-            match self.inbox.recv_timeout(self.recv_timeout) {
-                Ok(env) => match env.kind {
-                    EnvelopeKind::Data { .. } if env.src == src => {
-                        return self.open::<M>(env, tag, false)
-                    }
-                    EnvelopeKind::Data { .. } => self.buffer(env),
-                    EnvelopeKind::Crash { at } => {
-                        self.dead.insert(env.src, Death::Crash(at));
-                        if env.src == src {
-                            return Err(self.observe_death(
-                                src,
-                                Death::Crash(at),
-                                wait_start,
-                            ));
-                        }
-                    }
-                    EnvelopeKind::Abort { at } => {
-                        self.dead.insert(env.src, Death::Abort(at));
-                        if env.src == src {
-                            return Err(self.observe_death(
-                                src,
-                                Death::Abort(at),
-                                wait_start,
-                            ));
-                        }
-                    }
-                },
-                Err(RecvTimeoutError::Timeout) => {
+            let env = match self.next_envelope(Wait::From(src)).await {
+                Ok(env) => env,
+                Err(verdict) => {
                     self.record_deadlock_suspect(src, wait_start);
-                    return Err(CommError::Timeout { rank: self.rank, from: src });
+                    return Err(verdict);
                 }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every peer's thread exited while we were still
-                    // blocked on `src` — an orphaned wait, which is the
-                    // same evidence a timeout gives (the disconnect just
-                    // raced the timer). Record the suspect edge so the
-                    // wait-for cycle survives the shutdown ordering and
-                    // the analyzer can still name the deadlock.
-                    self.record_deadlock_suspect(src, wait_start);
-                    return Err(CommError::PeerGone { rank: self.rank, from: src });
+            };
+            match env.kind {
+                EnvelopeKind::Data { .. } if env.src == src => {
+                    return self.open::<M>(env, tag, false)
+                }
+                EnvelopeKind::Data { .. } => self.buffer(env),
+                EnvelopeKind::Crash { at } => {
+                    self.dead.insert(env.src, Death::Crash(at));
+                    if env.src == src {
+                        return Err(self.observe_death(src, Death::Crash(at), wait_start));
+                    }
+                }
+                EnvelopeKind::Abort { at } => {
+                    self.dead.insert(env.src, Death::Abort(at));
+                    if env.src == src {
+                        return Err(self.observe_death(src, Death::Abort(at), wait_start));
+                    }
                 }
             }
         }
     }
 
-    /// **Wildcard** blocking receive: the next data message from *any*
-    /// source carrying `tag`. Returns `(source, payload)`.
+    /// **Wildcard** receive: the next data message from *any* source
+    /// carrying `tag`. Returns `(source, payload)`.
     ///
     /// This is deliberately a nondeterminism hazard — which sender
     /// matches depends on delivery order — and exists so the
@@ -623,14 +581,13 @@ impl Process {
     /// race to catch (see `docs/static-analysis.md`). No shipped rank
     /// program uses it; the `commlint` wildcard-recv rule denies it
     /// outside test code.
-    // archlint: allow(taint) — same wall-clock safety-net exception as
-    // `recv` above; the *wildcard* nondeterminism of this primitive is
-    // policed separately (commlint wildcard-recv + the HB analyzer).
-    pub fn recv_any<M: WirePayload>(&mut self, tag: u32) -> Result<(usize, M), CommError> {
+    pub async fn recv_any<M: WirePayload>(&mut self, tag: u32) -> Result<(usize, M), CommError> {
         self.check_alive()?;
-        // Drain the channel first so already-arrived messages compete in
-        // the pending buffer under the installed delivery order.
-        while let Ok(env) = self.inbox.try_recv() {
+        // Route everything already delivered first so those messages
+        // compete in the pending buffer under the installed delivery
+        // order.
+        self.post.collect(self.rank, &mut self.arrived);
+        while let Some(env) = self.arrived.pop_front() {
             self.intake(env);
         }
         let wait_start = self.clock;
@@ -642,26 +599,30 @@ impl Process {
                 let src = env.src;
                 return self.open::<M>(env, tag, true).map(|m| (src, m));
             }
-            match self.inbox.recv_timeout(self.recv_timeout) {
+            match self.next_envelope(Wait::Any).await {
                 Ok(env) => self.intake(env),
-                Err(RecvTimeoutError::Timeout) => {
+                Err(verdict) => {
                     // A wildcard wait names nobody: the suspect edge
                     // points at the waiter itself (self-loops are
                     // excluded from deadlock cycles).
                     self.record_deadlock_suspect(self.rank, wait_start);
-                    return Err(CommError::Timeout { rank: self.rank, from: self.rank });
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Same orphaned-wait evidence as the timeout branch
-                    // (self-loops are excluded from deadlock cycles).
-                    self.record_deadlock_suspect(self.rank, wait_start);
-                    return Err(CommError::PeerGone { rank: self.rank, from: self.rank });
+                    return Err(verdict);
                 }
             }
         }
     }
 
-    /// Routes one envelope off the channel: data is buffered under the
+    /// The next envelope delivered to this rank, waiting for one if
+    /// none is there; `Err` is the executor's quiescence verdict.
+    async fn next_envelope(&mut self, wait: Wait) -> Result<Envelope, CommError> {
+        if self.arrived.is_empty() {
+            let (post, rank, arrived) = (&self.post, self.rank, &mut self.arrived);
+            poll_fn(|cx| post.poll_collect(rank, wait, arrived, cx)).await?;
+        }
+        Ok(self.arrived.pop_front().expect("collected at least one envelope"))
+    }
+
+    /// Routes one envelope out of the mailbox: data is buffered under the
     /// delivery order, tombstones are recorded in the death map.
     fn intake(&mut self, env: Envelope) {
         match env.kind {
@@ -702,10 +663,10 @@ impl Process {
         self.pending.insert(pos, env);
     }
 
-    /// Records the wall-clock safety net firing (zero-width
-    /// [`FaultKind::DeadlockSuspect`] marker — virtual time never
-    /// advances for wall-clock events) so the happens-before analyzer
-    /// can assemble the wait-for graph.
+    /// Records that the run went quiescent with this rank waiting on
+    /// `peer` (zero-width [`FaultKind::DeadlockSuspect`] marker at the
+    /// wait's start — resolving a stuck run costs no virtual time) so the
+    /// happens-before analyzer can assemble the wait-for graph.
     fn record_deadlock_suspect(&mut self, peer: usize, wait_start: VirtualTime) {
         let class = LinkClass::between(self.topo.location(peer), self.location());
         if let Some(rec) = &mut self.recorder {
@@ -724,7 +685,7 @@ impl Process {
     /// The two transfers overlap on the wire (full-duplex), so the clock
     /// advance is the max of the send completion and the partner's arrival —
     /// the behaviour of one butterfly round of an all-reduce.
-    pub fn exchange<M: WirePayload>(
+    pub async fn exchange<M: WirePayload>(
         &mut self,
         partner: usize,
         tag: u32,
@@ -736,7 +697,7 @@ impl Process {
         // The send and the receive overlap: rewind to the pre-send clock for
         // the receive wait, then take the max.
         self.clock = before;
-        let got = self.recv::<M>(partner, tag)?;
+        let got = self.recv::<M>(partner, tag).await?;
         self.clock = self.clock.max(after_send);
         Ok(got)
     }

@@ -1,15 +1,13 @@
 //! Launching rank programs and collecting run reports.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::Arc;
 
 use tsqr_netsim::{CostModel, FailureSchedule, GridTopology, VirtualTime};
 
 use crate::comm::Communicator;
 use crate::error::CommError;
-use crate::hb::HbReport;
-use crate::message::Envelope;
+use crate::exec::{self, PostOffice};
 use crate::metrics::MetricsRegistry;
 use crate::process::{DeliveryOrder, Process, RankStats, TrafficCounters};
 use crate::trace::{Recorder, Trace};
@@ -75,37 +73,14 @@ impl<T> RunOutcome<T> {
     }
 
     /// One-line human summary (`"64 ok, 1 failed: rank 37 crashed …"`).
-    ///
-    /// When tracing was enabled and some rank timed out on the
-    /// wall-clock safety net, the summary also *names the deadlock
-    /// cycle* the happens-before analyzer found (e.g. `deadlock cycle
-    /// 0 → 1 → 0`), so the operator sees who was waiting on whom instead
-    /// of a bare timeout.
+    /// A deadlocked rank's error names its wait-for cycle.
     pub fn summary(&self) -> String {
         if self.is_clean() {
             return format!("{} ranks ok", self.survivors.len());
         }
         let what: Vec<String> =
             self.failures.iter().map(|(r, e)| format!("rank {r}: {e}")).collect();
-        let mut out = format!(
-            "{} ok, {} failed — {}",
-            self.survivors.len(),
-            self.failures.len(),
-            what.join("; ")
-        );
-        let timed_out =
-            self.failures.iter().any(|(_, e)| matches!(e, CommError::Timeout { .. }));
-        if timed_out {
-            if let Some(trace) = &self.trace {
-                for cycle in trace.deadlock_cycles() {
-                    out.push_str(&format!(
-                        "; deadlock cycle {}",
-                        HbReport::cycle_string(&cycle)
-                    ));
-                }
-            }
-        }
-        out
+        format!("{} ok, {} failed — {}", self.survivors.len(), self.failures.len(), what.join("; "))
     }
 }
 
@@ -147,14 +122,15 @@ impl<T> RunReport<T> {
 
 /// A simulated machine: topology + cost model + optional failure injection.
 ///
-/// `run` launches one OS thread per rank and blocks until all rank programs
-/// return. Rank counts used in this workspace (≤ 256) are comfortably
-/// within OS thread limits.
+/// `run_async` polls the rank programs as futures on
+/// `min(available_parallelism, ranks)` worker threads, each owning a
+/// fixed block of ranks (see `exec`). Unless a program uses wildcard
+/// receives, results never depend on the worker count or the
+/// interleaving.
 pub struct Runtime {
     topo: Arc<GridTopology>,
     model: Arc<CostModel>,
     schedule: FailureSchedule,
-    recv_timeout: Duration,
     tracing: bool,
     delivery: DeliveryOrder,
 }
@@ -167,7 +143,6 @@ impl Runtime {
             topo: Arc::new(topo),
             model: Arc::new(model),
             schedule: FailureSchedule::default(),
-            recv_timeout: crate::process::DEFAULT_RECV_TIMEOUT,
             tracing: false,
             delivery: DeliveryOrder::default(),
         }
@@ -186,13 +161,6 @@ impl Runtime {
     /// merged [`Trace`] is returned in the run report.
     pub fn enable_tracing(&mut self) -> &mut Self {
         self.tracing = true;
-        self
-    }
-
-    /// Overrides the wall-clock deadlock timeout on receives (useful for
-    /// failure-injection tests, where some rank is expected to starve).
-    pub fn set_recv_timeout(&mut self, timeout: Duration) -> &mut Self {
-        self.recv_timeout = timeout;
         self
     }
 
@@ -228,153 +196,101 @@ impl Runtime {
         &self.model
     }
 
-    /// Runs `program` on every rank and gathers the report.
-    ///
-    /// The program receives the rank's [`Process`] handle and the *world*
-    /// communicator spanning all ranks.
-    // archlint: allow(taint) — this is the one sanctioned thread spawn:
-    // ranks run as OS threads, but every result is a function of the
-    // virtual-time cost model alone. That schedule-independence is
-    // *proved*, not assumed: the happens-before gate, the DPOR-lite
-    // explorer and the TSan CI job all police this boundary.
+    /// Runs a program that never receives — its sends and computes do
+    /// not wait — on every rank. Programs that receive use
+    /// [`Runtime::run_async`], which this forwards to.
     pub fn run<T, F>(&self, program: F) -> RunReport<T>
     where
         T: Send,
         F: Fn(&mut Process, &Communicator) -> Result<T, CommError> + Sync,
     {
+        self.run_async(async |p, w| program(p, w))
+    }
+
+    /// Runs `program` on every rank and gathers the report.
+    ///
+    /// The program receives the rank's [`Process`] handle and the *world*
+    /// communicator spanning all ranks. Each rank's future is created and
+    /// polled on the worker that owns the rank, so it need not be `Send`.
+    pub fn run_async<T, F>(&self, program: F) -> RunReport<T>
+    where
+        T: Send,
+        F: AsyncFn(&mut Process, &Communicator) -> Result<T, CommError> + Sync,
+    {
+        self.run_on(None, program)
+    }
+
+    /// [`Runtime::run_async`] on `workers` worker threads (capped at the
+    /// rank count), or one per available core when `None`.
+    fn run_on<T, F>(&self, workers: Option<usize>, program: F) -> RunReport<T>
+    where
+        T: Send,
+        F: AsyncFn(&mut Process, &Communicator) -> Result<T, CommError> + Sync,
+    {
         let n = self.topo.num_procs();
         assert!(n > 0, "cannot run on an empty topology");
-        let (senders, inboxes): (Vec<_>, Vec<_>) =
-            (0..n).map(|_| mpsc::channel::<Envelope>()).unzip();
-        let senders: Arc<[mpsc::Sender<Envelope>]> = senders.into();
+        let post = Arc::new(PostOffice::new(n));
         let schedule = Arc::new(self.schedule.clone());
-
-        let mut rank_results: Vec<Option<RankResult<T>>> = (0..n).map(|_| None).collect();
-        let mut rank_traces: Vec<Vec<crate::trace::Event>> = (0..n).map(|_| Vec::new()).collect();
-        let mut rank_metrics: Vec<MetricsRegistry> = (0..n).map(|_| Default::default()).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (rank, inbox) in inboxes.into_iter().enumerate() {
-                let senders = Arc::clone(&senders);
-                let topo = Arc::clone(&self.topo);
-                let model = Arc::clone(&self.model);
-                let schedule = Arc::clone(&schedule);
-                let program = &program;
-                handles.push(scope.spawn(move || {
-                    let crash_at = schedule.crash_time(rank);
-                    let mut proc = Process {
-                        rank,
-                        size: n,
-                        topo,
-                        model,
-                        schedule,
-                        crash_at,
-                        death_announced: false,
-                        dead: BTreeMap::new(),
-                        sent_seq: vec![0; n],
-                        senders,
-                        inbox,
-                        pending: VecDeque::new(),
-                        clock: VirtualTime::ZERO,
-                        nic_free: VirtualTime::ZERO,
-                        counters: TrafficCounters::default(),
-                        recv_timeout: self.recv_timeout,
-                        recorder: self.tracing.then(Recorder::default),
-                        phase_stack: Vec::new(),
-                        metrics: MetricsRegistry::default(),
-                        delivery: self.delivery,
-                        buffered: 0,
-                    };
-                    let world = Communicator::world(n);
-                    let result = program(&mut proc, &world);
-                    // A program that failed will never send again: announce
-                    // the abort so peers fail fast in virtual time instead
-                    // of hitting the wall-clock safety net. (Crashed ranks
-                    // already announced inside check_alive; the broadcast
-                    // is idempotent.)
-                    if result.is_err() {
-                        proc.announce_abort();
-                    }
-                    // Close any phases the program left open so phase
-                    // spans are recorded even on early error returns.
-                    while proc.current_phase().is_some() {
-                        proc.phase_end();
-                    }
-                    let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
-                    (
-                        RankResult {
-                            result,
-                            stats: RankStats { clock: proc.clock, traffic: proc.counters },
-                        },
-                        events,
-                        proc.metrics,
-                        // Hand the inbox back instead of dropping it: a
-                        // rank that exits early (crash/abort) must not
-                        // disconnect its channel while peers are still
-                        // sending, or those sends would race the thread's
-                        // real-time exit and spuriously fail with
-                        // PeerGone (a rare schedule-dependent flake the
-                        // commcheck explorer caught). Keeping every
-                        // receiver alive until all ranks joined makes
-                        // send-to-a-finished-rank deterministic: the
-                        // message is priced, delivered nowhere, and the
-                        // failure surfaces in *virtual* time through the
-                        // tombstone machinery instead.
-                        proc.inbox,
-                    )
-                }));
-            }
-            let mut parked_inboxes = Vec::with_capacity(n);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok((rr, events, metrics, inbox)) => {
-                        rank_results[rank] = Some(rr);
-                        rank_traces[rank] = events;
-                        rank_metrics[rank] = metrics;
-                        parked_inboxes.push(inbox);
-                    }
-                    Err(p) => std::panic::resume_unwind(p),
+        let program = &program;
+        let finished = exec::run(n, workers, &post, |rank| {
+            let mut proc = Process {
+                rank,
+                size: n,
+                topo: Arc::clone(&self.topo),
+                model: Arc::clone(&self.model),
+                crash_at: schedule.crash_time(rank),
+                schedule: Arc::clone(&schedule),
+                death_announced: false,
+                dead: BTreeMap::new(),
+                sent_seq: vec![0; n],
+                post: Arc::clone(&post),
+                arrived: VecDeque::new(),
+                pending: VecDeque::new(),
+                clock: VirtualTime::ZERO,
+                nic_free: VirtualTime::ZERO,
+                counters: TrafficCounters::default(),
+                recorder: self.tracing.then(Recorder::default),
+                phase_stack: Vec::new(),
+                metrics: MetricsRegistry::default(),
+                delivery: self.delivery,
+                buffered: 0,
+            };
+            async move {
+                let world = Communicator::world(n);
+                let result = program(&mut proc, &world).await;
+                // A program that failed will never send again: announce
+                // the abort so peers waiting on it fail in virtual time.
+                // (Crashed ranks already announced inside check_alive; the
+                // broadcast is idempotent.)
+                if result.is_err() {
+                    proc.announce_abort();
                 }
+                // Close any phases the program left open so phase
+                // spans are recorded even on early error returns.
+                while proc.current_phase().is_some() {
+                    proc.phase_end();
+                }
+                let events = proc.recorder.take().map(|r| r.events).unwrap_or_default();
+                let stats = RankStats { clock: proc.clock, traffic: proc.counters };
+                (RankResult { result, stats }, events, proc.metrics)
             }
-            drop(parked_inboxes);
         });
 
-        let mut ranks: Vec<RankResult<T>> =
-            rank_results.into_iter().map(|r| r.expect("all ranks joined")).collect();
+        let mut ranks = Vec::with_capacity(n);
+        let mut events = Vec::new();
+        let mut metrics = Vec::with_capacity(n);
+        for (rr, ev, m) in finished {
+            ranks.push(rr);
+            events.extend(ev);
+            metrics.push(m);
+        }
         let makespan =
             ranks.iter().map(|r| r.stats.clock).max().unwrap_or(VirtualTime::ZERO);
         let totals = ranks
             .iter()
             .fold(TrafficCounters::default(), |acc, r| acc.merge(&r.stats.traffic));
-        let trace = self
-            .tracing
-            .then(|| Trace::from_parts(rank_traces.into_iter().flatten().collect()));
-        if let Some(trace) = &trace {
-            // With the analyzer's evidence in hand, upgrade bare wall-clock
-            // timeouts to *named* deadlocks: a rank whose receive timed out
-            // and who sits on a cycle of the trace's wait-for graph was not
-            // merely slow — it was deadlocked, and its error should say on
-            // whom (see `docs/static-analysis.md`).
-            let cycles = trace.deadlock_cycles();
-            if !cycles.is_empty() {
-                for (rank, rr) in ranks.iter_mut().enumerate() {
-                    // Both shapes of an orphaned wait: the timer fired, or
-                    // the peers' threads exited first (the disconnect
-                    // merely raced the timer — see `Process::recv`).
-                    let (r, from) = match &rr.result {
-                        Err(CommError::Timeout { rank: r, from })
-                        | Err(CommError::PeerGone { rank: r, from }) => (*r, *from),
-                        _ => continue,
-                    };
-                    if let Some(cycle) =
-                        cycles.iter().find(|c| c.contains(&rank)).cloned()
-                    {
-                        rr.result = Err(CommError::Deadlock { rank: r, from, cycle });
-                    }
-                }
-            }
-        }
-        RunReport { ranks, makespan, totals, trace, metrics: rank_metrics }
+        let trace = self.tracing.then(|| Trace::from_parts(events));
+        RunReport { ranks, makespan, totals, trace, metrics }
     }
 }
 
@@ -410,13 +326,13 @@ mod tests {
     #[test]
     fn ping_pong_advances_both_clocks() {
         let rt = tiny_grid(1, 2, 1);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 p.send(1, 7, 42.0f64)?;
-                let x: f64 = p.recv(1, 8)?;
+                let x: f64 = p.recv(1, 8).await?;
                 Ok(x)
             } else {
-                let x: f64 = p.recv(0, 7)?;
+                let x: f64 = p.recv(0, 7).await?;
                 p.send(0, 8, x * 2.0)?;
                 Ok(x)
             }
@@ -439,13 +355,13 @@ mod tests {
     fn virtual_time_is_deterministic_across_runs() {
         let rt = tiny_grid(2, 2, 2);
         let run = || {
-            rt.run(|p, _| {
+            rt.run_async(async |p, _| {
                 // Ring: send to the next rank, receive from the previous.
                 let next = (p.rank() + 1) % p.size();
                 let prev = (p.rank() + p.size() - 1) % p.size();
                 p.compute(1_000_000 * (p.rank() as u64 + 1), None);
                 p.send(next, 0, p.rank() as f64)?;
-                let _x: f64 = p.recv(prev, 0)?;
+                let _x: f64 = p.recv(prev, 0).await?;
                 Ok(p.clock().secs())
             })
             .clone_results()
@@ -458,7 +374,7 @@ mod tests {
     #[test]
     fn counters_classify_link_classes() {
         let rt = tiny_grid(2, 2, 2); // ranks 0..4 on cluster 0, 4..8 on cluster 1
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             match p.rank() {
                 0 => {
                     p.send(1, 0, ())?; // same node (slots 0,1 of node 0)
@@ -466,13 +382,13 @@ mod tests {
                     p.send(4, 0, ())?; // other cluster
                 }
                 1 => {
-                    let _: () = p.recv(0, 0)?;
+                    let _: () = p.recv(0, 0).await?;
                 }
                 2 => {
-                    let _: () = p.recv(0, 0)?;
+                    let _: () = p.recv(0, 0).await?;
                 }
                 4 => {
-                    let _: () = p.recv(0, 0)?;
+                    let _: () = p.recv(0, 0).await?;
                 }
                 _ => {}
             }
@@ -497,9 +413,9 @@ mod tests {
     #[test]
     fn exchange_overlaps_transfers() {
         let rt = tiny_grid(1, 2, 1);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             let partner = 1 - p.rank();
-            let got: f64 = p.exchange(partner, 3, p.rank() as f64)?;
+            let got: f64 = p.exchange(partner, 3, p.rank() as f64).await?;
             Ok(got)
         });
         assert_eq!(report.clone_results(), vec![1.0, 0.0]);
@@ -530,12 +446,12 @@ mod tests {
     #[test]
     fn out_of_order_sources_are_buffered() {
         let rt = tiny_grid(1, 3, 1);
-        let report = rt.run(|p, _| match p.rank() {
+        let report = rt.run_async(async |p, _| match p.rank() {
             0 => {
                 // Receive from 2 first even though 1's message may arrive
-                // earlier on the real channel.
-                let a: f64 = p.recv(2, 0)?;
-                let b: f64 = p.recv(1, 0)?;
+                // earlier in the mailbox.
+                let a: f64 = p.recv(2, 0).await?;
+                let b: f64 = p.recv(1, 0).await?;
                 Ok(a * 10.0 + b)
             }
             r => {
@@ -551,12 +467,12 @@ mod tests {
         use crate::trace::EventKind;
         let mut rt = tiny_grid(1, 2, 1);
         rt.enable_tracing();
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 p.compute(1_000_000, None);
                 p.send(1, 0, vec![1.0f64; 8])?;
             } else {
-                let _: Vec<f64> = p.recv(0, 0)?;
+                let _: Vec<f64> = p.recv(0, 0).await?;
             }
             Ok(())
         });
@@ -584,16 +500,17 @@ mod tests {
     #[test]
     fn metrics_are_always_on_and_phase_bucketed() {
         let rt = tiny_grid(1, 2, 1);
-        let report = rt.run(|p, _| {
-            p.with_phase("work", |p| {
+        let report = rt.run_async(async |p, _| {
+            p.with_phase("work", async |p| {
                 p.compute(1_000_000, None);
                 if p.rank() == 0 {
                     p.send(1, 0, 1.0f64)?;
                 } else {
-                    let _: f64 = p.recv(0, 0)?;
+                    let _: f64 = p.recv(0, 0).await?;
                 }
                 Ok(())
-            })?;
+            })
+            .await?;
             // Unphased tail work.
             p.compute(2_000_000, None);
             Ok(())
@@ -654,7 +571,7 @@ mod tests {
     fn critical_path_total_equals_makespan() {
         let mut rt = tiny_grid(2, 2, 2);
         rt.enable_tracing();
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             // A little pipeline with cross-cluster traffic: 0 → 4 → 7.
             match p.rank() {
                 0 => {
@@ -662,12 +579,12 @@ mod tests {
                     p.send(4, 0, vec![1.0f64; 64])?;
                 }
                 4 => {
-                    let v: Vec<f64> = p.recv(0, 0)?;
+                    let v: Vec<f64> = p.recv(0, 0).await?;
                     p.compute(2_000_000, None);
                     p.send(7, 1, v)?;
                 }
                 7 => {
-                    let _: Vec<f64> = p.recv(4, 1)?;
+                    let _: Vec<f64> = p.recv(4, 1).await?;
                     p.compute(1_000_000, None);
                 }
                 _ => p.compute(500_000, None),
@@ -697,9 +614,9 @@ mod tests {
     fn exchange_trace_critical_path_still_tiles_makespan() {
         let mut rt = tiny_grid(1, 2, 1);
         rt.enable_tracing();
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             let partner = 1 - p.rank();
-            let _: f64 = p.exchange(partner, 3, p.rank() as f64)?;
+            let _: f64 = p.exchange(partner, 3, p.rank() as f64).await?;
             p.compute(1_000_000, None);
             Ok(())
         });
@@ -716,14 +633,14 @@ mod tests {
         let crash_at = VirtualTime::from_secs(0.005);
         rt.set_failure_schedule(FailureSchedule::new(0).crash_rank(0, crash_at));
         rt.enable_tracing();
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 // Compute past the crash instant, then try to send.
                 p.compute(10_000_000, None); // 10 ms at 1 Gflop/s
                 p.send(1, 0, 1.0f64)?;
                 Ok(0.0)
             } else {
-                let x: f64 = p.recv(0, 0)?;
+                let x: f64 = p.recv(0, 0).await?;
                 Ok(x)
             }
         });
@@ -766,11 +683,11 @@ mod tests {
             s = s.drop_nth_message(0, 1, n);
         }
         rt.set_failure_schedule(s);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 p.send(1, 0, 1.0f64)?;
             } else {
-                let _: f64 = p.recv(0, 0)?;
+                let _: f64 = p.recv(0, 0).await?;
             }
             Ok(())
         });
@@ -790,12 +707,12 @@ mod tests {
     fn transient_drop_recovers_on_retransmit() {
         let mut rt = tiny_grid(1, 2, 1);
         rt.set_failure_schedule(FailureSchedule::new(0).drop_nth_message(0, 1, 0));
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 p.send(1, 0, 7.0f64)?;
                 Ok(0.0)
             } else {
-                p.recv(0, 0)
+                p.recv(0, 0).await
             }
         });
         assert!(report.ranks[0].result.is_ok());
@@ -809,49 +726,58 @@ mod tests {
     #[test]
     fn abort_tombstone_reaches_waiting_peer() {
         let rt = tiny_grid(1, 2, 1);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 // Fail without sending anything.
                 Err(CommError::TagMismatch { expected: 1, got: 2 })
             } else {
-                let _: f64 = p.recv(0, 0)?;
+                let _: f64 = p.recv(0, 0).await?;
                 Ok(())
             }
         });
-        // Rank 1 learns of the abort through the tombstone — PeerGone,
-        // not a wall-clock Timeout.
+        // Rank 1 learns of the abort through the tombstone: PeerGone, at
+        // the virtual-time detection deadline.
         assert_eq!(
             report.ranks[1].result,
             Err(CommError::PeerGone { rank: 1, from: 0 })
         );
     }
 
+    /// Four ranks on two sites under a schedule that crashes rank 3,
+    /// drops 0 → 1's first message and drops half of 1 → 2's.
+    fn faulty_grid() -> Runtime {
+        let mut rt = tiny_grid(2, 2, 1);
+        rt.set_failure_schedule(
+            FailureSchedule::new(9)
+                .crash_rank(3, VirtualTime::from_secs(0.002))
+                .drop_nth_message(0, 1, 0)
+                .drop_probability(1, 2, 0.5),
+        );
+        rt
+    }
+
+    /// One ring step under [`faulty_grid`]'s schedule, ignoring drops.
+    async fn faulty_ring(p: &mut Process) -> Result<f64, CommError> {
+        let next = (p.rank() + 1) % p.size();
+        let prev = (p.rank() + p.size() - 1) % p.size();
+        p.compute(1_000_000, None);
+        match p.send(next, 0, p.rank() as f64) {
+            Ok(()) | Err(CommError::MessageDropped { .. }) => {}
+            Err(e) => return Err(e),
+        }
+        match p.recv::<f64>(prev, 0).await {
+            Ok(_) | Err(CommError::MessageDropped { .. }) => {}
+            Err(e) => return Err(e),
+        }
+        Ok(p.clock().secs())
+    }
+
     #[test]
     fn replay_with_same_schedule_is_bit_identical() {
         let run = || {
-            let mut rt = tiny_grid(2, 2, 1);
-            rt.set_failure_schedule(
-                FailureSchedule::new(9)
-                    .crash_rank(3, VirtualTime::from_secs(0.002))
-                    .drop_nth_message(0, 1, 0)
-                    .drop_probability(1, 2, 0.5),
-            );
+            let mut rt = faulty_grid();
             rt.enable_tracing();
-            let report = rt.run(|p, _| {
-                let next = (p.rank() + 1) % p.size();
-                let prev = (p.rank() + p.size() - 1) % p.size();
-                p.compute(1_000_000, None);
-                // Ignore drop errors; propagate the rest.
-                match p.send(next, 0, p.rank() as f64) {
-                    Ok(()) | Err(CommError::MessageDropped { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                match p.recv::<f64>(prev, 0) {
-                    Ok(_) | Err(CommError::MessageDropped { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                Ok(p.clock().secs())
-            });
+            let report = rt.run_async(async |p, _| faulty_ring(p).await);
             let clocks: Vec<u64> =
                 report.ranks.iter().map(|r| r.stats.clock.secs().to_bits()).collect();
             let faults: Vec<String> = report
@@ -871,15 +797,136 @@ mod tests {
         assert!(!f1.is_empty(), "the schedule injected observable faults");
     }
 
+    /// Every collective in turn, with non-commutative operators so a
+    /// different combination order would show.
+    async fn all_collectives(p: &mut Process, world: &Communicator) -> Result<Vec<f64>, CommError> {
+        let me = world.my_index(p) as f64;
+        let root = 1 % world.size();
+        let b = world.bcast(p, root, (world.my_index(p) == root).then_some(me + 0.5)).await?;
+        let r = world.reduce(p, world.size() - 1, vec![me], |mut a, b| {
+            a.extend(b);
+            a
+        });
+        let r = r.await?.unwrap_or_default();
+        let ar = world.allreduce(p, me, |a, b| a * 0.5 + b).await?;
+        let g = world.gather(p, 0, me).await?.unwrap_or_default();
+        let ag = world.allgather(p, me * 2.0).await?;
+        let half = world.split_by(p, |r| (r % 2) as u64, |r| r as u64);
+        let hs = half.allreduce(p, me, |a, b| a - b).await?;
+        world.barrier(p).await?;
+        Ok([vec![b, ar, hs], r, g, ag].concat())
+    }
+
+    /// A tiny real TSQR: each rank factors a seeded 16 × 4 block and the
+    /// R factors meet up a binary tree; rank 0 returns the final R.
+    async fn tiny_tsqr(p: &mut Process) -> Result<Vec<f64>, CommError> {
+        use tsqr_linalg::prelude::*;
+        let a = Matrix::random_uniform(16, 4, p.rank() as u64 + 1);
+        let mut r = QrFactors::compute(&a, 2).r().upper_triangular_padded();
+        p.compute(1_000, None);
+        let mut step = 1;
+        while step < p.size() {
+            if !p.rank().is_multiple_of(2 * step) {
+                p.send(p.rank() - step, 5, r)?;
+                return Ok(Vec::new());
+            }
+            if p.rank() + step < p.size() {
+                let mut r2: Matrix = p.recv(p.rank() + step, 5).await?;
+                tpqrt(&mut r, &mut r2);
+                r = r.upper_triangular_padded();
+                p.compute(100, None);
+            }
+            step *= 2;
+        }
+        Ok(r.into_vec())
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_worker_count() {
+        // Every observable of a run — results, clocks, counters, per-rank
+        // metrics and the trace — must be the same on 1, 2, 3 or 7
+        // workers (7 splits 8 ranks unevenly; 4-rank runs cap it at 4).
+        fn check<T: std::fmt::Debug>(
+            name: &str,
+            run: impl Fn(usize) -> RunReport<T>,
+        ) -> RunReport<T> {
+            let base = run(1);
+            assert!(base.trace.is_some(), "{name}: traced");
+            let want = format!("{base:?}");
+            for workers in [2, 3, 7] {
+                let got = run(workers);
+                assert_eq!(
+                    got.makespan.secs().to_bits(),
+                    base.makespan.secs().to_bits(),
+                    "{name}: makespan on {workers} workers"
+                );
+                assert_eq!(format!("{got:?}"), want, "{name}: report on {workers} workers");
+            }
+            base
+        }
+        let traced = |mut rt: Runtime| {
+            rt.enable_tracing();
+            rt
+        };
+        check("ping-pong", |w| {
+            traced(tiny_grid(2, 2, 2)).run_on(Some(w), async |p, _| {
+                let partner = p.rank() ^ 1;
+                if p.rank() % 2 == 0 {
+                    p.send(partner, 7, p.rank() as f64)?;
+                    p.recv::<f64>(partner, 8).await
+                } else {
+                    let x: f64 = p.recv(partner, 7).await?;
+                    p.send(partner, 8, x * 2.0)?;
+                    Ok(x)
+                }
+            })
+        });
+        check("ring", |w| {
+            traced(tiny_grid(2, 2, 2)).run_on(Some(w), async |p, _| {
+                let next = (p.rank() + 1) % p.size();
+                let prev = (p.rank() + p.size() - 1) % p.size();
+                p.compute(1_000_000 * (p.rank() as u64 + 1), None);
+                p.send(next, 0, vec![p.rank() as f64; 16])?;
+                let got: Vec<f64> = p.recv(prev, 0).await?;
+                Ok(got[0])
+            })
+        });
+        check("collectives", |w| {
+            traced(tiny_grid(2, 2, 2))
+                .run_on(Some(w), async |p, world| all_collectives(p, world).await)
+        });
+        check("failure schedule", |w| {
+            traced(faulty_grid()).run_on(Some(w), async |p, _| faulty_ring(p).await)
+        });
+        let stuck = check("quiescence", |w| {
+            traced(tiny_grid(2, 2, 2)).run_on(Some(w), async |p, _| match p.rank() {
+                // A wait-for cycle, a wait on a finished rank and a wait
+                // on a waiting rank, all resolved at quiescence.
+                0 | 1 => p.recv::<f64>(1 - p.rank(), 1).await,
+                2 => p.recv::<f64>(7, 1).await,
+                3 => p.recv::<f64>(2, 1).await,
+                r => Ok(r as f64),
+            })
+        });
+        let deadlock = |rank, from| CommError::Deadlock { rank, from, cycle: vec![0, 1] };
+        assert_eq!(stuck.ranks[0].result, Err(deadlock(0, 1)));
+        assert_eq!(stuck.ranks[1].result, Err(deadlock(1, 0)));
+        assert_eq!(stuck.ranks[2].result, Err(CommError::PeerGone { rank: 2, from: 7 }));
+        assert_eq!(stuck.ranks[3].result, Err(CommError::PeerGone { rank: 3, from: 2 }));
+        check("tiny tsqr", |w| {
+            traced(tiny_grid(2, 2, 2)).run_on(Some(w), async |p, _| tiny_tsqr(p).await)
+        });
+    }
+
     #[test]
     fn tag_mismatch_is_detected() {
         let rt = tiny_grid(1, 2, 1);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == 0 {
                 p.send(1, 5, ())?;
                 Ok(())
             } else {
-                let r: Result<(), CommError> = p.recv(0, 6);
+                let r: Result<(), CommError> = p.recv(0, 6).await;
                 match r {
                     Err(CommError::TagMismatch { expected: 6, got: 5 }) => Ok(()),
                     other => panic!("expected tag mismatch, got {other:?}"),
@@ -892,22 +939,21 @@ mod tests {
     #[test]
     fn outcome_splits_the_mixed_case() {
         // Four ranks, three fates: rank 0 and rank 3 succeed, rank 1
-        // crashes per the failure schedule, rank 2 deadlocks waiting on a
-        // message rank 3 never sends (wall-clock safety net, no tracing —
-        // so the error stays a bare Timeout).
+        // crashes per the failure schedule, rank 2 waits on a message
+        // rank 3 never sends. Once the run is quiescent, rank 3 has
+        // finished, so rank 2's wait ends with PeerGone from rank 3.
         let mut rt = tiny_grid(1, 4, 1);
         rt.set_failure_schedule(
             FailureSchedule::new(0).crash_rank(1, VirtualTime::ZERO),
         );
-        rt.set_recv_timeout(Duration::from_millis(200));
-        let report = rt.run(|p, _| match p.rank() {
+        let report = rt.run_async(async |p, _| match p.rank() {
             1 => {
                 p.compute(1_000_000, None); // trips over its own crash
                 p.send(0, 1, 1.0f64)?;
                 Ok(1.0)
             }
             2 => {
-                let x: f64 = p.recv(3, 9)?; // never sent
+                let x: f64 = p.recv(3, 9).await?; // never sent
                 Ok(x)
             }
             _ => Ok(f64::from(u32::try_from(p.rank()).unwrap())),
@@ -922,10 +968,7 @@ mod tests {
             outcome.failures[0],
             (1, CommError::RankFailed { rank: 1, .. })
         ));
-        assert!(matches!(
-            outcome.failures[1],
-            (2, CommError::Timeout { rank: 2, from: 3 })
-        ));
+        assert_eq!(outcome.failures[1], (2, CommError::PeerGone { rank: 2, from: 3 }));
         // Everyone's metrics survive the split, survivors and failures alike.
         assert_eq!(outcome.metrics.len(), 4);
     }
@@ -933,15 +976,12 @@ mod tests {
     #[test]
     fn deadlock_error_names_the_wait_for_cycle() {
         // The classic two-rank deadlock: each receives before it sends.
-        // With tracing on, the wall-clock timeouts are upgraded to
-        // `CommError::Deadlock` naming the wait-for cycle the analyzer
-        // extracted from the trace.
-        let mut rt = tiny_grid(1, 2, 1);
-        rt.set_recv_timeout(Duration::from_millis(200));
-        rt.enable_tracing();
-        let report = rt.run(|p, _| {
+        // At quiescence both ranks sit on the wait-for cycle 0 → 1 → 0
+        // and get `CommError::Deadlock` naming it. No tracing is needed.
+        let rt = tiny_grid(1, 2, 1);
+        let report = rt.run_async(async |p, _| {
             let peer = 1 - p.rank();
-            let x: f64 = p.recv(peer, 1)?; // both block here forever
+            let x: f64 = p.recv(peer, 1).await?; // both block here forever
             p.send(peer, 1, x)?;
             Ok(x)
         });
@@ -961,10 +1001,25 @@ mod tests {
                 "unexpected message: {err}"
             );
         }
-        // The analyzer agrees with the upgraded errors.
+    }
+
+    #[test]
+    fn traced_deadlock_agrees_with_the_analyzer() {
+        // The same deadlock traced: both ranks record a deadlock-suspect
+        // marker, and the analyzer finds the cycle the verdicts named.
+        let mut rt = tiny_grid(1, 2, 1);
+        rt.enable_tracing();
+        let report = rt.run_async(async |p, _| {
+            let peer = 1 - p.rank();
+            let x: f64 = p.recv(peer, 1).await?;
+            p.send(peer, 1, x)?;
+            Ok(x)
+        });
         let hb = report.trace.as_ref().unwrap().hb_analysis();
         assert_eq!(hb.deadlock_cycles, vec![vec![0, 1]]);
         assert!(!hb.ok());
+        let outcome = report.outcome();
+        assert!(outcome.summary().contains("wait-for cycle: 0 -> 1 -> 0"));
     }
 
     #[test]
@@ -976,19 +1031,17 @@ mod tests {
         // from the trace's program order and matched messages alone.
         let mut rt = tiny_grid(1, 3, 1);
         rt.enable_tracing();
-        let report = rt.run(|p, _| {
-            match p.rank() {
-                0 => {
-                    let (first, _) = p.recv_any::<f64>(9)?;
-                    p.send(2, 1, ())?;
-                    let (second, _) = p.recv_any::<f64>(9)?;
-                    Ok(vec![first, second])
-                }
-                1 => p.send(0, 9, 1.0f64).map(|()| Vec::new()),
-                _ => {
-                    let () = p.recv(0, 1)?;
-                    p.send(0, 9, 2.0f64).map(|()| Vec::new())
-                }
+        let report = rt.run_async(async |p, _| match p.rank() {
+            0 => {
+                let (first, _) = p.recv_any::<f64>(9).await?;
+                p.send(2, 1, ())?;
+                let (second, _) = p.recv_any::<f64>(9).await?;
+                Ok(vec![first, second])
+            }
+            1 => p.send(0, 9, 1.0f64).map(|()| Vec::new()),
+            _ => {
+                let () = p.recv(0, 1).await?;
+                p.send(0, 9, 2.0f64).map(|()| Vec::new())
             }
         });
         assert_eq!(report.ranks[0].result, Ok(vec![1, 2]));

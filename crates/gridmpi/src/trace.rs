@@ -99,10 +99,10 @@ pub enum FaultKind {
     /// A send to `peer` was priced through an active degradation window
     /// (zero-width marker at send start).
     LinkDegraded,
-    /// The **wall-clock** receive safety net fired while waiting for
-    /// `peer` — the simulator suspects a deadlock (zero-width marker at
-    /// the wait's start; virtual time never advances for wall-clock
-    /// events). The happens-before analyzer ([`crate::hb`]) builds its
+    /// The run went quiescent while this rank waited for `peer` (itself
+    /// for a wildcard receive), and the executor ended the wait
+    /// (zero-width marker at the wait's start; resolving a stuck run
+    /// costs no virtual time). The happens-before analyzer ([`crate::hb`]) builds its
     /// wait-for graph from these markers: a cycle among them is a
     /// deadlock cycle.
     DeadlockSuspect,
@@ -160,7 +160,7 @@ pub struct Event {
 /// A matched send/receive pair: indices into [`Trace::events`].
 ///
 /// Matching is by per-`(src, dst)` FIFO order, which is exact for this
-/// runtime: channels preserve per-source order and the receive buffer
+/// runtime: mailboxes preserve per-source order and the receive buffer
 /// replays pending messages in arrival order, so the `k`-th send from
 /// `src` to `dst` is opened by the `k`-th receive at `dst` from `src`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

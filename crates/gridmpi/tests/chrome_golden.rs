@@ -38,25 +38,29 @@ fn tiny_grid() -> Runtime {
 fn traced_run() -> Trace {
     let mut rt = tiny_grid();
     rt.enable_tracing();
-    let report = rt.run(|p, _| {
-        match p.rank() {
-            0 => p.with_phase("demo", |p| {
+    let report = rt.run_async(async |p, _| match p.rank() {
+        0 => {
+            p.with_phase("demo", async |p| {
                 p.compute(5_000, None);
                 p.send(1, 7, Phantom { bytes: 64 })?;
                 p.send(2, 7, Phantom { bytes: 256 })?;
                 Ok(())
-            }),
-            1 => {
-                let _: Phantom = p.recv(0, 7)?;
-                Ok(())
-            }
-            2 => p.with_phase("demo", |p| {
-                let _: Phantom = p.recv(0, 7)?;
+            })
+            .await
+        }
+        1 => {
+            let _: Phantom = p.recv(0, 7).await?;
+            Ok(())
+        }
+        2 => {
+            p.with_phase("demo", async |p| {
+                let _: Phantom = p.recv(0, 7).await?;
                 p.compute(2_000, None);
                 Ok(())
-            }),
-            _ => Ok(()),
+            })
+            .await
         }
+        _ => Ok(()),
     });
     report.trace.expect("tracing was enabled")
 }

@@ -50,15 +50,16 @@ proptest! {
         rt.enable_tracing();
         let n = clusters * procs;
         let heavy = heavy_sel % n;
-        let report = rt.run(move |p, world| {
+        let report = rt.run_async(async move |p, world| {
             if p.rank() == heavy {
                 p.compute(megaflops * 1_000_000, None);
             }
             let me = world.my_index(p) as f64;
             world.allreduce(p, vec![me; len], |a, b| {
                 a.iter().zip(&b).map(|(x, y)| x + y).collect()
-            })?;
-            world.barrier(p)?;
+            })
+            .await?;
+            world.barrier(p).await?;
             Ok(())
         });
         let trace = report.trace.as_ref().expect("tracing enabled");
@@ -111,11 +112,12 @@ proptest! {
         let run = || {
             let mut rt = runtime(clusters, procs, 0.2, 500.0);
             rt.enable_tracing();
-            let report = rt.run(move |p, world| {
+            let report = rt.run_async(async move |p, world| {
                 let me = world.my_index(p) as f64;
                 world.allreduce(p, vec![me; len], |a, b| {
                     a.iter().zip(&b).map(|(x, y)| x + y).collect()
-                })?;
+                })
+                .await?;
                 Ok(())
             });
             let n = clusters * procs;

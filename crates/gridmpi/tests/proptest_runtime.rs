@@ -44,10 +44,10 @@ proptest! {
         let vals: Vec<f64> = (0..n).map(|i| values[i % values.len()]).collect();
         let want: f64 = vals.iter().sum();
         let vals2 = vals.clone();
-        let report = rt.run(move |p, world| {
+        let report = rt.run_async(async move |p, world| {
             let mine = vals2[p.rank()];
-            let all = world.allreduce(p, mine, |a, b| a + b)?;
-            let rooted = world.reduce(p, 0, mine, |a, b| a + b)?;
+            let all = world.allreduce(p, mine, |a, b| a + b).await?;
+            let rooted = world.reduce(p, 0, mine, |a, b| a + b).await?;
             Ok((all, rooted))
         });
         for (rank, r) in report.ranks.iter().enumerate() {
@@ -70,11 +70,12 @@ proptest! {
     ) {
         let rt = runtime(1, procs, 0.5, 100.0);
         let run = |len: usize| {
-            rt.run(move |p, world| {
+            rt.run_async(async move |p, world| {
                 let me = world.my_index(p) as f64;
                 world.allreduce(p, vec![me; len], |a, b| {
                     a.iter().zip(&b).map(|(x, y)| x + y).collect()
-                })?;
+                })
+                .await?;
                 Ok(p.clock())
             })
             .makespan
@@ -95,11 +96,12 @@ proptest! {
     ) {
         let run = |lat: f64, bw: f64| {
             runtime(1, procs, lat, bw)
-                .run(|p, world| {
+                .run_async(async |p, world| {
                     let me = world.my_index(p) as f64;
                     world.allreduce(p, vec![me; 64], |a, b| {
                         a.iter().zip(&b).map(|(x, y)| x + y).collect()
-                    })?;
+                    })
+                    .await?;
                     Ok(())
                 })
                 .makespan
@@ -118,8 +120,8 @@ proptest! {
     ) {
         let rt = runtime(clusters, procs, 0.1, 890.0);
         let n = clusters * procs;
-        let report = rt.run(|p, world| {
-            world.allgather(p, p.rank() as u64)?;
+        let report = rt.run_async(async |p, world| {
+            world.allgather(p, p.rank() as u64).await?;
             Ok(())
         });
         let t = report.totals;
@@ -142,14 +144,14 @@ proptest! {
     ) {
         let rt = runtime(1, procs, 0.1, 890.0);
         let heavy = heavy_rank_sel % procs;
-        let report = rt.run(move |p, world| {
+        let report = rt.run_async(async move |p, world| {
             let before = if p.rank() == heavy {
                 p.compute(megaflops * 1_000_000, None);
                 p.clock()
             } else {
                 p.clock()
             };
-            world.barrier(p)?;
+            world.barrier(p).await?;
             Ok((before, p.clock()))
         });
         let heavy_before = report.ranks[heavy].result.clone().unwrap().0;

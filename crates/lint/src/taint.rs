@@ -24,7 +24,9 @@
 //!   temp_dir}` reads;
 //! * **thread spawns** — `thread::spawn` / `.spawn(` (an OS scheduler
 //!   is a nondeterminism source until a happens-before proof says
-//!   otherwise).
+//!   otherwise);
+//! * **host queries** — `available_parallelism` (the core count differs
+//!   from host to host).
 //!
 //! Escape hatches, read from the **raw** source (comments included) on
 //! the line(s) directly above a `fn`:
@@ -32,8 +34,8 @@
 //! * `archlint: allow(taint) — reason` — the function is a *documented
 //!   boundary*: sources inside it are not reported and taint does not
 //!   propagate through it to callers. This is how the gridmpi
-//!   wall-clock safety net and the rank-thread spawner are sanctioned
-//!   (each carries its justification in the annotation comment).
+//!   executor's worker spawn and core-count read are sanctioned (the
+//!   justification sits in the annotation comment).
 //! * `archlint: source — reason` — force-marks the function as a taint
 //!   source even when no pattern matches (for wrappers whose body
 //!   hides the source behind another crate or a macro).
@@ -367,7 +369,7 @@ pub fn extract_calls(code: &str, span: (usize, usize)) -> Vec<String> {
 }
 
 /// Textual nondeterminism-source patterns: `(kind, pattern)`.
-const SOURCE_PATTERNS: [(&str, &str); 12] = [
+const SOURCE_PATTERNS: [(&str, &str); 13] = [
     ("wall-clock", "Instant::now"),
     ("wall-clock", "SystemTime"),
     ("wall-clock", ".recv_timeout("),
@@ -380,6 +382,7 @@ const SOURCE_PATTERNS: [(&str, &str); 12] = [
     ("env-read", "env::args"),
     ("env-read", "env::temp_dir"),
     ("thread-spawn", "thread::spawn"),
+    ("host-query", "available_parallelism"),
 ];
 
 /// Finds source occurrences in one file: `(kind, what, line)`.
@@ -667,6 +670,18 @@ mod tests {
         let util = "pub fn helper() -> u64 {\n    let t = Instant::now();\n    0\n}\n";
         let f = taint_pass(&ws_two(det, util), &["det".to_string()]);
         assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn core_count_is_a_source() {
+        let det = "pub fn entry() -> usize {\n    tsqr_util::workers()\n}\n";
+        let util = "pub fn workers() -> usize {\n    \
+                    std::thread::available_parallelism().map_or(1, |n| n.get())\n}\n";
+        let f = taint_pass(&ws_two(det, util), &["det".to_string()]);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert!(f[0].message.contains("available_parallelism"), "{}", f[0].message);
+        let sanctioned = format!("// archlint: allow(taint) — sizes a worker pool\n{util}");
+        assert!(taint_pass(&ws_two(det, &sanctioned), &["det".to_string()]).is_empty());
     }
 
     #[test]

@@ -92,7 +92,9 @@ fn main() {
         shape: TreeShape::GridHierarchical,
         seed: 3,
     };
-    let report = rt.run(|p, world| eigsolve_rank_program(p, world, &layout, &tree, &op, &cfg));
+    let report = rt.run_async(async |p, world| {
+        eigsolve_rank_program(p, world, &layout, &tree, &op, &cfg).await
+    });
     let wan_total = report.totals.inter_cluster_msgs();
     let outs: Vec<EigsolveRankOutput> =
         report.ranks.into_iter().map(|r| r.result.expect("rank ok")).collect();

@@ -20,7 +20,9 @@ fn run_shape(rt: &Runtime, shape: TreeShape, label: &str, m: u64, n: usize) {
     let layout = DomainLayout::build(rt.topology(), m, n, 64);
     let tree = ReductionTree::build(&shape, layout.num_domains(), &layout.clusters());
     let cfg = TsqrConfig { shape, domains_per_cluster: 64, ..Default::default() };
-    let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 1, None).map(|_| ()));
+    let report = rt.run_async(async |p, _| {
+        tsqr_rank_program(p, &layout, &tree, &cfg, 1, None).await.map(|_| ())
+    });
     println!(
         "  {label:<28} {:>8.3} s   {:>4} WAN msgs   tree depth {}",
         report.makespan.secs(),
@@ -46,10 +48,10 @@ fn main() {
     // Each rank retrieves its group id (the QCG-OMPI MPI attribute) and
     // builds a per-site communicator, then sums a value inside its site —
     // zero WAN traffic.
-    let report = rt.run(|p, world| {
+    let report = rt.run_async(async |p, world| {
         let my_group = group_of[p.rank()];
         let site = world.split_by(p, |r| group_of[r] as u64, |r| r as u64);
-        let local_sum = site.allreduce(p, 1.0f64, |a, b| a + b)?;
+        let local_sum = site.allreduce(p, 1.0f64, |a, b| a + b).await?;
         Ok((my_group, local_sum))
     });
     let (g0, sum0) = report.ranks[0].result.clone().unwrap();

@@ -40,7 +40,7 @@ cargo run --release -q -p tsqr-lint --bin linkcheck
 
 echo "==> commcheck (happens-before gate: figure scenarios + fault matrix"
 echo "    + DPOR-lite explorer, pinned against COMMCHECK_baseline.txt)"
-./target/release/grid-tsqr check --recv-timeout 60 --golden COMMCHECK_baseline.txt
+./target/release/grid-tsqr check --golden COMMCHECK_baseline.txt
 
 echo "==> fault-matrix smoke (self-healing TSQR via the CLI)"
 # Crash one representative rank of every tree level on the 4-site grid
@@ -50,7 +50,7 @@ echo "==> fault-matrix smoke (self-healing TSQR via the CLI)"
 # nonzero otherwise. The last run also shows the plain program's typed
 # failure report (--baseline); a final run mixes transient loss with a
 # WAN brown-out.
-FAULTS="./target/release/grid-tsqr faults --m 65536 --n 32 --sites 4 --recv-timeout 30"
+FAULTS="./target/release/grid-tsqr faults --m 65536 --n 32 --sites 4"
 for spec in 255@0.5 2@2 64@2 128@6 0@6; do
   $FAULTS --crash "$spec" >/dev/null
 done

@@ -88,10 +88,6 @@
 //! scenario is compared against the blessed `COMMCHECK_baseline.txt`
 //! (regenerate with `--bless`), exactly like the benchmark gate.
 //!
-//! Every subcommand accepts `--recv-timeout <seconds>`: the *wall-clock*
-//! deadlock safety net of the simulator (failure *detection* happens in
-//! virtual time; see `docs/fault-injection.md` §Detection).
-//!
 //! `analyze` runs the same traced point and prints the diagnosis instead:
 //! the Scalasca-style wait-state breakdown (reconciled against the metrics
 //! registry), per-link-class utilization timelines, the rank-to-rank
@@ -263,8 +259,6 @@ fn usage() -> ExitCode {
          \n\
          Tree shapes: flat | binary | grid | kary:<k> | binomial | greedy\n\
          (kary:1 is a chain; see docs/tuning.md for the closed forms).\n\
-         Every subcommand accepts --recv-timeout <seconds> (wall-clock deadlock\n\
-         safety net; failure detection itself runs in virtual time).\n\
          faults runs the self-healing TSQR with real numerics under an injected\n\
          failure schedule and checks the recovered R against the failure-free\n\
          run bit for bit; --baseline shows the plain program's typed failure.\n\
@@ -706,24 +700,7 @@ fn run() -> Result<String, String> {
     if !(1..=4).contains(&sites) {
         return Err("--sites must be 1..=4".into());
     }
-    // Wall-clock deadlock safety net (failure *detection* is virtual-time;
-    // see docs/fault-injection.md §Detection).
-    let recv_timeout: Option<f64> = match args.get("recv-timeout") {
-        None => None,
-        Some(v) => {
-            let secs: f64 =
-                v.parse().map_err(|_| format!("--recv-timeout: cannot parse {v:?}"))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err("--recv-timeout must be positive".into());
-            }
-            Some(secs)
-        }
-    };
-    let mut rt: Runtime = grid_runtime(sites);
-    if let Some(secs) = recv_timeout {
-        rt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-    }
-    let rt = rt;
+    let rt: Runtime = grid_runtime(sites);
     let mode = if args.has("real") { Mode::Real { seed } } else { Mode::Symbolic };
     let rates = |n: usize| {
         (
@@ -846,9 +823,6 @@ fn run() -> Result<String, String> {
                 other => return Err(format!("unknown --algo {other:?}")),
             };
             let mut rt = grid_runtime(sites);
-            if let Some(secs) = recv_timeout {
-                rt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-            }
             rt.enable_tracing();
             let res = run_experiment(
                 &rt,
@@ -1027,7 +1001,9 @@ fn run() -> Result<String, String> {
             };
 
             // Failure-free reference: the plain program, empty schedule.
-            let clean = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+            let clean = rt.run_async(async |p, _| {
+                tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate).await
+            });
             let reference = clean.ranks[0]
                 .result
                 .clone()
@@ -1043,17 +1019,15 @@ fn run() -> Result<String, String> {
             // Self-healing run under the schedule.
             let ledger = path_from_env();
             let mut frt = grid_runtime(sites);
-            if let Some(secs) = recv_timeout {
-                frt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-            }
             if ledger.is_some() {
                 // The ledger entry wants the critical-path split, which
                 // needs the event trace.
                 frt.enable_tracing();
             }
             frt.set_failure_schedule(schedule.clone());
-            let mut report =
-                frt.run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+            let mut report = frt.run_async(async |p, _| {
+                ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate).await
+            });
             let makespan = report.makespan;
             // `outcome()` consumes the report, so lift the observability
             // payloads the ledger entry needs out of it first.
@@ -1093,12 +1067,10 @@ fn run() -> Result<String, String> {
             // Optionally show how the plain program fares (typed, no panic).
             if args.has("baseline") {
                 let mut brt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    brt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
                 brt.set_failure_schedule(schedule);
-                let base =
-                    brt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+                let base = brt.run_async(async |p, _| {
+                    tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate).await
+                });
                 let bo = base.outcome();
                 if bo.is_clean() {
                     out.push_str("baseline tsqr: unaffected by this schedule\n");
@@ -1202,9 +1174,6 @@ fn run() -> Result<String, String> {
             // Eq. (1) residuals like every other ledger source.
             if let Some(path) = path_from_env() {
                 let mut trt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    trt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
                 trt.enable_tracing();
                 let res = run_experiment(
                     &trt,
@@ -1283,9 +1252,6 @@ fn run() -> Result<String, String> {
             // the real-numerics run by construction).
             let figure = |algorithm: Algorithm, comb: Option<f64>| -> Result<HbReport, String> {
                 let mut trt = grid_runtime(sites);
-                if let Some(secs) = recv_timeout {
-                    trt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                }
                 trt.enable_tracing();
                 let res = run_experiment(
                     &trt,
@@ -1350,13 +1316,11 @@ fn run() -> Result<String, String> {
                 };
                 let fault = |schedule: FailureSchedule| -> Result<HbReport, String> {
                     let mut frt = grid_runtime(sites);
-                    if let Some(secs) = recv_timeout {
-                        frt.set_recv_timeout(std::time::Duration::from_secs_f64(secs));
-                    }
                     frt.enable_tracing();
                     frt.set_failure_schedule(schedule);
-                    let report =
-                        frt.run(|p, _| ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate));
+                    let report = frt.run_async(async |p, _| {
+                        ft_tsqr_rank_program(p, &layout, &tree, &cfg, seed, rate).await
+                    });
                     let hb = report
                         .trace
                         .as_ref()
@@ -1430,7 +1394,7 @@ fn run() -> Result<String, String> {
                 };
                 let rep = explore(
                     || Runtime::new(small_topo(), small_model.clone()),
-                    |p, _| tsqr_rank_program(p, &slayout, &stree, &scfg, seed, None),
+                    async |p, _| tsqr_rank_program(p, &slayout, &stree, &scfg, seed, None).await,
                     |o| {
                         o.r.as_ref().map_or(0, |r| {
                             let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);

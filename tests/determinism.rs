@@ -108,11 +108,11 @@ fn injected_wildcard_race_is_caught_by_analyzer_and_explorer() {
     // Single run, tracing on: the analyzer flags the wildcard receives.
     let mut rt = make();
     rt.enable_tracing();
-    let report = rt.run(|p, _| {
+    let report = rt.run_async(async |p, _| {
         if p.rank() == 0 {
             let mut acc = 1.0f64;
             for _ in 1..p.size() {
-                let (_, x) = p.recv_any::<f64>(1)?;
+                let (_, x) = p.recv_any::<f64>(1).await?;
                 acc = acc * 3.0 + x; // order-sensitive fold
             }
             Ok(acc)
@@ -129,11 +129,11 @@ fn injected_wildcard_race_is_caught_by_analyzer_and_explorer() {
     // And the explorer refuses the determinism proof for the same program.
     let rep = explore(
         make,
-        |p, _| {
+        async |p, _| {
             if p.rank() == 0 {
                 let mut acc = 1.0f64;
                 for _ in 1..p.size() {
-                    let (_, x) = p.recv_any::<f64>(1)?;
+                    let (_, x) = p.recv_any::<f64>(1).await?;
                     acc = acc * 3.0 + x;
                 }
                 Ok(acc)
@@ -172,7 +172,7 @@ fn explorer_proves_tsqr_r_bit_identical_for_p8() {
     };
     let rep = explore(
         explorer_grid,
-        |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 42, None),
+        async |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 42, None).await,
         |o| {
             o.r.as_ref().map_or(0, |r| {
                 let mut bytes = Vec::with_capacity(r.as_slice().len() * 8);

@@ -146,7 +146,8 @@ fn explicit_q_distributed_equals_local_qr() {
         compute_q: true,
         ..Default::default()
     };
-    let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None));
+    let report =
+        rt.run_async(async |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, seed, None).await);
     let outs: Vec<_> = report.ranks.into_iter().map(|r| r.result.unwrap()).collect();
     let r = outs[0].r.clone().unwrap();
     let mut blocks: Vec<_> =
@@ -218,7 +219,9 @@ fn tracing_itemizes_the_wan_bill() {
         domains_per_cluster: 4,
         ..Default::default()
     };
-    let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 7, None).map(|_| ()));
+    let report = rt.run_async(async |p, _| {
+        tsqr_rank_program(p, &layout, &tree, &cfg, 7, None).await.map(|_| ())
+    });
     let trace = report.trace.expect("tracing enabled");
 
     // The WAN bill, itemized: exactly sites - 1 = 2 inter-cluster sends,

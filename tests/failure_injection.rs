@@ -16,11 +16,7 @@ fn runtime(procs: usize) -> Runtime {
         procs,
         1,
     );
-    let mut rt =
-        Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 890.0), 1e9, 1));
-    // Failure tests intentionally starve some ranks; fail fast.
-    rt.set_recv_timeout(std::time::Duration::from_secs(2));
-    rt
+    Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 890.0), 1e9, 1))
 }
 
 #[test]
@@ -42,12 +38,12 @@ fn failed_send_is_typed_and_attributed() {
 fn reverse_direction_still_works() {
     let mut rt = runtime(2);
     rt.fail_link(0, 1); // directed: 1 -> 0 still up
-    let report = rt.run(|p, _| {
+    let report = rt.run_async(async |p, _| {
         if p.rank() == 1 {
             p.send(0, 0, 2.5f64)?;
             Ok(0.0)
         } else {
-            p.recv::<f64>(1, 0)
+            p.recv::<f64>(1, 0).await
         }
     });
     assert_eq!(report.ranks[0].result, Ok(2.5));
@@ -57,32 +53,29 @@ fn reverse_direction_still_works() {
 #[test]
 fn collective_propagates_failure_along_the_tree() {
     // Fail the link a binomial reduce must use; the sender gets LinkDown
-    // and the root (never receiving) times out or sees PeerGone — but the
-    // program must terminate with typed errors, not hang.
+    // and returns, so the root, left waiting on it, gets PeerGone from
+    // rank 1 once the run is quiescent — a typed end, not a hang.
     let mut rt = runtime(4);
     rt.fail_link(1, 0); // reduce edge 1 -> 0 at the first level
-    let report = rt.run(|p, world| {
+    let report = rt.run_async(async |p, world| {
         if p.rank() == 1 {
             // Rank 1 will fail to send its partial to rank 0; surface it.
-            let r = world.reduce(p, 0, 1.0f64, |a, b| a + b);
+            let r = world.reduce(p, 0, 1.0f64, |a, b| a + b).await;
             match r {
                 Err(CommError::LinkDown { src: 1, dst: 0 }) => Ok("failed-as-expected"),
                 other => panic!("rank 1 expected LinkDown, got {other:?}"),
             }
         } else if p.rank() == 0 {
-            // The root will never hear from rank 1: PeerGone (rank 1's
-            // thread exits) or Timeout are both acceptable terminations.
-            match world.reduce(p, 0, 1.0f64, |a, b| a + b) {
-                Err(CommError::PeerGone { .. }) | Err(CommError::Timeout { .. }) => {
-                    Ok("root-saw-failure")
-                }
-                other => panic!("root expected a failure, got {other:?}"),
+            // The root will never hear from rank 1, which has returned.
+            match world.reduce(p, 0, 1.0f64, |a, b| a + b).await {
+                Err(CommError::PeerGone { rank: 0, from: 1 }) => Ok("root-saw-failure"),
+                other => panic!("root expected PeerGone from rank 1, got {other:?}"),
             }
         } else {
             // Other ranks' sub-trees are unaffected; their sends target
             // healthy links (2->0 would... 2 sends to 0 at level 2 — that
             // link is healthy; 3 sends to 2).
-            world.reduce(p, 0, 1.0f64, |a, b| a + b).map(|_| "ok")
+            world.reduce(p, 0, 1.0f64, |a, b| a + b).await.map(|_| "ok")
         }
     });
     assert_eq!(report.ranks[1].result, Ok("failed-as-expected"));
@@ -99,12 +92,9 @@ fn tsqr_surfaces_failure_on_the_reduction_edge() {
     rt.fail_link(1, 0); // the binary tree's first combine edge
     let layout = DomainLayout::build(rt.topology(), 256, 4, 4);
     let tree = ReductionTree::build(&TreeShape::Binary, 4, &layout.clusters());
-    let cfg = TsqrConfig {
-        shape: TreeShape::Binary,
-        domains_per_cluster: 4,
-        ..Default::default()
-    };
-    let report = rt.run(|p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 1, None));
+    let cfg = TsqrConfig { shape: TreeShape::Binary, domains_per_cluster: 4, ..Default::default() };
+    let report =
+        rt.run_async(async |p, _| tsqr_rank_program(p, &layout, &tree, &cfg, 1, None).await);
     // Rank 1 hits the dead link; rank 0 can then never finish its combine.
     assert!(matches!(
         report.ranks[1].result,
@@ -129,11 +119,7 @@ fn multi_class_runtime() -> Runtime {
         })
         .collect();
     let topo = GridTopology::block_placement(specs, 2, 2);
-    let mut rt =
-        Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 890.0), 1e9, 2));
-    // Failure tests intentionally starve some ranks; fail fast.
-    rt.set_recv_timeout(std::time::Duration::from_secs(2));
-    rt
+    Runtime::new(topo, CostModel::homogeneous(LinkParams::from_ms_mbps(0.1, 890.0), 1e9, 2))
 }
 
 #[test]
@@ -149,7 +135,7 @@ fn fail_link_is_directional_for_every_link_class() {
         for (src, dst) in [(a, b), (b, a)] {
             let mut rt = multi_class_runtime();
             rt.fail_link(src, dst);
-            let report = rt.run(|p, _| {
+            let report = rt.run_async(async |p, _| {
                 if p.rank() == src {
                     match p.send(dst, 0, 1.0f64) {
                         Err(CommError::LinkDown { src: s, dst: d }) if s == src && d == dst => {}
@@ -158,7 +144,7 @@ fn fail_link_is_directional_for_every_link_class() {
                         }
                     }
                     // The reverse direction is untouched.
-                    p.recv::<f64>(dst, 1)
+                    p.recv::<f64>(dst, 1).await
                 } else if p.rank() == dst {
                     p.send(src, 1, 2.0f64)?;
                     Ok(2.0)
@@ -175,9 +161,8 @@ fn fail_link_is_directional_for_every_link_class() {
 #[test]
 fn starving_rank_terminates_typed_for_every_link_class() {
     // The receiver waits on a message that can never arrive (its only
-    // sender hits a dead link and exits). It must terminate with a typed
-    // error — PeerGone once the sender's thread is gone, or the
-    // wall-clock Timeout net — never hang.
+    // sender hits a dead link and returns). Once the run is quiescent it
+    // gets PeerGone naming that sender — a typed end, never a hang.
     for (src, dst, class) in [
         (1usize, 0usize, "intra-node"),
         (2, 0, "intra-cluster"),
@@ -185,15 +170,15 @@ fn starving_rank_terminates_typed_for_every_link_class() {
     ] {
         let mut rt = multi_class_runtime();
         rt.fail_link(src, dst);
-        let report = rt.run(|p, _| {
+        let report = rt.run_async(async |p, _| {
             if p.rank() == src {
                 match p.send(dst, 0, 1.0f64) {
                     Err(CommError::LinkDown { .. }) => Ok("sender-saw-linkdown"),
                     other => panic!("{class}: sender expected LinkDown, got {other:?}"),
                 }
             } else if p.rank() == dst {
-                match p.recv::<f64>(src, 0) {
-                    Err(CommError::PeerGone { .. } | CommError::Timeout { .. }) => {
+                match p.recv::<f64>(src, 0).await {
+                    Err(CommError::PeerGone { rank, from }) if rank == dst && from == src => {
                         Ok("starved-but-typed")
                     }
                     other => panic!("{class}: starved rank expected a typed end, got {other:?}"),
@@ -211,15 +196,15 @@ fn starving_rank_terminates_typed_for_every_link_class() {
 fn unrelated_traffic_is_unaffected() {
     let mut rt = runtime(4);
     rt.fail_link(0, 1);
-    let report = rt.run(|p, _| {
+    let report = rt.run_async(async |p, _| {
         // Ring among ranks 2 and 3 only.
         match p.rank() {
             2 => {
                 p.send(3, 0, 7.0f64)?;
-                p.recv::<f64>(3, 1)
+                p.recv::<f64>(3, 1).await
             }
             3 => {
-                let x: f64 = p.recv(2, 0)?;
+                let x: f64 = p.recv(2, 0).await?;
                 p.send(2, 1, x * 2.0)?;
                 Ok(x)
             }

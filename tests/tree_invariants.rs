@@ -150,7 +150,8 @@ fn r_under_tree(rt: &Runtime, layout: &DomainLayout, shape: &TreeShape, seed: u6
         domains_per_cluster: layout.num_domains() / rt.topology().num_clusters(),
         ..Default::default()
     };
-    let report = rt.run(|p, _| tsqr_rank_program(p, layout, &tree, &cfg, seed, None));
+    let report =
+        rt.run_async(async |p, _| tsqr_rank_program(p, layout, &tree, &cfg, seed, None).await);
     report.ranks[0].result.as_ref().unwrap().r.clone().unwrap()
 }
 
