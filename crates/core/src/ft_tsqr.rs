@@ -155,7 +155,7 @@ fn local_subtree_r(p: &mut Process, ctx: &Ctx<'_>, x: usize) -> Matrix {
     let n = ctx.layout.n;
     let dom = &ctx.layout.domains[x];
     let local = workload::block(ctx.seed, dom.row0, dom.rows as usize, n);
-    let f = QrFactors::compute(&local, DEFAULT_NB);
+    let f = QrFactors::factor(local, DEFAULT_NB);
     p.compute(flops::geqrf(dom.rows, n as u64), ctx.rate_flops);
     let mut r1 = f.r().upper_triangular_padded();
     for step in &ctx.tree.steps[x] {
@@ -310,7 +310,7 @@ pub async fn ft_tsqr_rank_program(
     // --- Leaf factorization. ---
     p.phase_begin(PHASE_LEAF);
     let local = workload::block(seed, row0, rows as usize, n);
-    let f = QrFactors::compute(&local, DEFAULT_NB);
+    let f = QrFactors::factor(local, DEFAULT_NB);
     p.compute(flops::geqrf(rows, n as u64), rate_flops);
     let mut r1 = f.r().upper_triangular_padded();
     p.phase_end();

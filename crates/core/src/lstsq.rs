@@ -58,7 +58,7 @@ pub async fn lstsq_rank_program_with(
     let roots = layout.roots();
 
     // --- Leaf: factor the block, reduce the rhs. ---
-    let f = QrFactors::compute(&a_loc, tsqr_linalg::qr::DEFAULT_NB);
+    let f = QrFactors::factor(a_loc, tsqr_linalg::qr::DEFAULT_NB);
     p.compute(flops::geqrf(rows, n as u64), rate_flops);
     let mut c_full = Matrix::from_col_major(rows as usize, 1, b_loc).expect("rhs column");
     orm2r(Side::Left, Trans::Yes, &f.factors.view(), &f.tau, &mut c_full.view_mut());

@@ -163,11 +163,10 @@ pub async fn tsqr_rank_program_with(
     let mut leaf_q: Option<QrFactors> = None;
     let mut r_cur: Option<Matrix>;
     if dom.ranks.len() == 1 {
-        let f = QrFactors::compute(&local, DEFAULT_NB);
-        // Every rank's future stays alive until the reduction ends, so
-        // free the block now and keep the leaf's reflectors only when the
-        // down-sweep needs them.
-        drop(local);
+        // Every rank's future stays alive until the reduction ends, so the
+        // block is factored in place and the leaf's reflectors are kept
+        // only when the down-sweep needs them.
+        let f = QrFactors::factor(local, DEFAULT_NB);
         p.compute(flops::geqrf(rows, n as u64), rate_flops);
         r_cur = Some(f.r().upper_triangular_padded());
         leaf_q = cfg.compute_q.then_some(f);

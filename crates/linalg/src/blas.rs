@@ -1,6 +1,8 @@
 //! BLAS-like kernels on column-major views.
 //!
-//! Levels 1 and 2 are straightforward loops; the level-3 `gemm` is written
+//! [`dot`] sums into eight independent partial sums, so it is not held to
+//! one dependent add per cycle; the other level-1 kernels and the small
+//! triangular multiply are plain loops. The level-3 `gemm` is written
 //! in the cache-friendly `(j, l, i)` loop order for column-major data and
 //! splits `C` into column strips of at most 256 columns once the work is
 //! large enough (see [`PAR_THRESHOLD_FLOPS`]). The strips run one after
@@ -16,11 +18,30 @@ use crate::view::{View, ViewMut};
 /// ~0.5 Mflop.
 pub const PAR_THRESHOLD_FLOPS: usize = 1 << 19;
 
+/// Independent partial sums [`dot`] keeps, so consecutive multiply-adds do
+/// not wait on each other.
+const DOT_LANES: usize = 8;
+
 /// Dot product of two equal-length slices.
+///
+/// Element `i` goes to partial sum `i mod 8` (the last `len mod 8` elements
+/// to a ninth); the sums are combined in a fixed order, so the result is
+/// deterministic for a given length.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     debug_assert_eq!(x.len(), y.len());
-    x.iter().zip(y).map(|(a, b)| a * b).sum()
+    let len = x.len().min(y.len());
+    let (x, y) = (&x[..len], &y[..len]);
+    let xs = x.chunks_exact(DOT_LANES);
+    let ys = y.chunks_exact(DOT_LANES);
+    let tail: f64 = xs.remainder().iter().zip(ys.remainder()).map(|(a, b)| a * b).sum();
+    let mut s = [0.0; DOT_LANES];
+    for (xc, yc) in xs.zip(ys) {
+        for l in 0..DOT_LANES {
+            s[l] += xc[l] * yc[l];
+        }
+    }
+    ((s[0] + s[4]) + (s[1] + s[5])) + ((s[2] + s[6]) + (s[3] + s[7])) + tail
 }
 
 /// Euclidean norm, scaled to avoid overflow/underflow (LAPACK `dnrm2` style).

@@ -8,6 +8,11 @@
 //! scaling factors in `tau`. The blocked path is what a ScaLAPACK `PDGEQRF`
 //! domain call runs locally; the unblocked path is the `PDGEQR2` panel
 //! kernel the paper analyses.
+//!
+//! The blocked path is also the TSQR leaf kernel. Its trailing update
+//! ([`larfb_left`]) streams each column of the trailing matrix once per
+//! [`DEFAULT_NB`] = 4 reflectors instead of twice per reflector, which is
+//! what makes it faster than `geqr2` on the host.
 
 use crate::blas::{axpy, dot, trmm_upper_left};
 use crate::householder::{larf_left, larfg};
@@ -32,9 +37,15 @@ pub enum Side {
     Right,
 }
 
-/// Default panel width for the blocked factorization — matches the
-/// ScaLAPACK default `NB = 64` the paper uses (§V-B).
-pub const DEFAULT_NB: usize = 64;
+/// Default panel width of the host blocked factorization.
+///
+/// Four columns is one [`larfb_left`] sweep: each panel then updates the
+/// trailing matrix with one read and one write of every column. It was the
+/// fastest width measured for the 512 × 128 TSQR leaf. The paper's
+/// ScaLAPACK `NB = 64` (§V-B) is a distributed block size and lives in the
+/// model (`tsqr_core::scalapack::DEFAULT_NB`); virtual time is priced by
+/// [`crate::flops::geqrf`], which no panel width changes.
+pub const DEFAULT_NB: usize = REFL_BLOCK;
 
 /// Unblocked Householder QR of the window `a` (LAPACK `dgeqr2`).
 ///
@@ -101,48 +112,117 @@ pub fn larft(v: &View<'_>, tau: &[f64]) -> Matrix {
     t
 }
 
+/// Reflectors [`larfb_left`] applies in one sweep over a column of `C`.
+const REFL_BLOCK: usize = 4;
+
 /// Applies the block reflector `Q = I − V·T·Vᵀ` (or `Qᵀ`) from the left to
 /// `c` (LAPACK `dlarfb`, side = left, forward/columnwise).
 ///
 /// `v` is `m × k` unit lower trapezoidal (upper part ignored), `t` the `k × k`
 /// triangular factor from [`larft`]. `trans = Yes` applies `Qᵀ`.
+///
+/// `C` is streamed one column `c` at a time: `w = Ṽᵀc`, `w := op(T)·w`,
+/// `c −= Ṽ·w`, with both products taken four reflectors per pass,
+/// so `c` is read while it sits in L1 and no `k × n` workspace is formed.
 pub fn larfb_left(trans: Trans, v: &View<'_>, t: &View<'_>, c: &mut ViewMut<'_>) {
     let m = c.rows();
     let n = c.cols();
     let k = v.cols();
     assert_eq!(v.rows(), m, "larfb: V/C row mismatch");
+    assert!(k <= m, "larfb: {k} reflectors for {m} rows");
     assert_eq!((t.rows(), t.cols()), (k, k), "larfb: T shape mismatch");
     if k == 0 || n == 0 {
         return;
     }
-    // W = Ṽᵀ·C   (k × n), Ṽ = V with unit diagonal, zero upper part.
-    let mut w = Matrix::zeros(k, n);
+    let mut w = vec![0.0; k];
     for j in 0..n {
-        let cj = c.col(j);
-        for i in 0..k {
-            let vi = v.col(i);
-            w[(i, j)] = cj[i] + dot(&vi[i + 1..m], &cj[i + 1..m]);
+        let cj = c.col_mut(j);
+        for (b, wb) in w.chunks_mut(REFL_BLOCK).enumerate() {
+            block_vt_c(v, b * REFL_BLOCK, cj, wb);
+        }
+        // w := op(T)·w, with op = Tᵀ for Qᵀ and T for Q.
+        trmm_upper_left(trans, t, &mut ViewMut::from_raw(&mut w, k, 1, k));
+        for (b, wb) in w.chunks(REFL_BLOCK).enumerate() {
+            block_c_minus_vw(v, b * REFL_BLOCK, wb, cj);
         }
     }
-    // W := op(T)·W, with op = Tᵀ for Qᵀ and T for Q.
-    trmm_upper_left(trans, t, &mut w.view_mut());
-    // C := C − Ṽ·W.
-    for j in 0..n {
-        let wj: Vec<f64> = (0..k).map(|i| w[(i, j)]).collect();
-        let cj = c.col_mut(j);
-        // Rows 0..k: unit lower triangular part.
-        for i in (0..k).rev() {
-            let mut s = wj[i];
-            for (l, &wl) in wj.iter().enumerate().take(i) {
-                s += v.get(i, l) * wl;
-            }
-            cj[i] -= s;
+}
+
+/// `w[l] = ṽᵀc` for the reflectors `ṽ = Ṽ[:, i0 + l]`, `l < w.len()`.
+fn block_vt_c(v: &View<'_>, i0: usize, c: &[f64], w: &mut [f64]) {
+    let d = i0 + w.len();
+    // Rows i0..d: the unit diagonal and the tails under it.
+    for (l, wl) in w.iter_mut().enumerate() {
+        let vl = v.col(i0 + l);
+        *wl = c[i0 + l] + dot(&vl[i0 + l + 1..d], &c[i0 + l + 1..d]);
+    }
+    // Rows d..m: every reflector of the block is dense there.
+    if let [w0, w1, w2, w3] = w {
+        let s = dot4(cols4(v, i0, d), &c[d..]);
+        *w0 += s[0];
+        *w1 += s[1];
+        *w2 += s[2];
+        *w3 += s[3];
+    } else {
+        for (l, wl) in w.iter_mut().enumerate() {
+            *wl += dot(&v.col(i0 + l)[d..], &c[d..]);
         }
-        // Rows k..m: dense part.
-        for (l, &wl) in wj.iter().enumerate() {
-            let vl = v.col(l);
-            axpy(-wl, &vl[k..m], &mut cj[k..m]);
+    }
+}
+
+/// `c −= Σₗ w[l]·ṽ` over the reflectors `ṽ = Ṽ[:, i0 + l]`, `l < w.len()`.
+fn block_c_minus_vw(v: &View<'_>, i0: usize, w: &[f64], c: &mut [f64]) {
+    let d = i0 + w.len();
+    // Rows i0..d: row i0 + l meets the unit diagonal of reflector l and
+    // the tails of the reflectors before it.
+    for l in 0..w.len() {
+        let s: f64 = (0..l).map(|q| v.get(i0 + l, i0 + q) * w[q]).sum();
+        c[i0 + l] -= w[l] + s;
+    }
+    if let &[w0, w1, w2, w3] = w {
+        axpy4([w0, w1, w2, w3], cols4(v, i0, d), &mut c[d..]);
+    } else {
+        for (l, &wl) in w.iter().enumerate() {
+            axpy(-wl, &v.col(i0 + l)[d..], &mut c[d..]);
         }
+    }
+}
+
+/// Rows `d..` of columns `i0..i0 + 4` of `v`.
+fn cols4<'v>(v: &'v View<'_>, i0: usize, d: usize) -> [&'v [f64]; 4] {
+    [0, 1, 2, 3].map(|l| &v.col(i0 + l)[d..])
+}
+
+/// The four dot products `vₗᵀc`, each summed in four row lanes: sixteen
+/// independent accumulators per sweep over `c`.
+fn dot4(v: [&[f64]; 4], c: &[f64]) -> [f64; 4] {
+    let len = c.len();
+    let [v0, v1, v2, v3] = v.map(|x| &x[..len]);
+    let mut s = [[0.0; 4]; 4];
+    let body = len - len % 4;
+    for r in (0..body).step_by(4) {
+        for q in 0..4 {
+            let x = c[r + q];
+            s[0][q] += v0[r + q] * x;
+            s[1][q] += v1[r + q] * x;
+            s[2][q] += v2[r + q] * x;
+            s[3][q] += v3[r + q] * x;
+        }
+    }
+    let mut out = [0.0; 4];
+    for (l, vl) in [v0, v1, v2, v3].into_iter().enumerate() {
+        let tail = dot(&vl[body..], &c[body..]);
+        out[l] = (s[l][0] + s[l][2]) + (s[l][1] + s[l][3]) + tail;
+    }
+    out
+}
+
+/// `c −= Σₗ w[l]·vₗ`: one read and one write of `c` for four reflectors.
+fn axpy4(w: [f64; 4], v: [&[f64]; 4], c: &mut [f64]) {
+    let len = c.len();
+    let [v0, v1, v2, v3] = v.map(|x| &x[..len]);
+    for r in 0..len {
+        c[r] -= (w[0] * v0[r] + w[1] * v1[r]) + (w[2] * v2[r] + w[3] * v3[r]);
     }
 }
 
@@ -255,13 +335,17 @@ pub struct QrFactors {
 }
 
 impl QrFactors {
-    /// Factors a copy of `a` using the blocked algorithm.
-    pub fn compute(a: &Matrix, nb: usize) -> Self {
-        let mut f = a.clone();
+    /// Factors `a` in place using the blocked algorithm.
+    pub fn factor(mut a: Matrix, nb: usize) -> Self {
         let k = a.rows().min(a.cols());
         let mut tau = vec![0.0; k];
-        geqrf(&mut f.view_mut(), &mut tau, nb);
-        QrFactors { factors: f, tau }
+        geqrf(&mut a.view_mut(), &mut tau, nb);
+        QrFactors { factors: a, tau }
+    }
+
+    /// Factors a copy of `a` using the blocked algorithm.
+    pub fn compute(a: &Matrix, nb: usize) -> Self {
+        Self::factor(a.clone(), nb)
     }
 
     /// Factors a copy of `a` with the unblocked algorithm (`geqr2`).

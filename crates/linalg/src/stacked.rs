@@ -14,7 +14,7 @@
 //! nonzero tail is stored in column `j`, rows `0..=j` of the returned `V`
 //! matrix, which is therefore upper triangular.
 
-use crate::blas::{dot, nrm2};
+use crate::blas::{axpy, dot, nrm2};
 use crate::matrix::Matrix;
 use crate::qr::Trans;
 
@@ -49,44 +49,29 @@ pub fn tpqrt(r1: &mut Matrix, r2: &mut Matrix) -> StackedFactors {
     for j in 0..n {
         // Build the structured column [R1[j,j]; R2[0..=j, j]].
         x[0] = r1[(j, j)];
-        for i in 0..=j {
-            x[i + 1] = r2[(i, j)];
-        }
-        let refl = generate_reflector(&mut x[..j + 2]);
-        tau[j] = refl.0;
-        r1[(j, j)] = refl.1;
-        // Store the reflector tail in R2's column j (rows 0..=j).
-        for i in 0..=j {
-            r2[(i, j)] = x[i + 1];
-        }
-        // Update trailing columns k > j of both blocks.
-        let tj = tau[j];
+        x[1..j + 2].copy_from_slice(&r2.col(j)[..=j]);
+        let (tj, beta) = generate_reflector(&mut x[..j + 2]);
+        tau[j] = tj;
+        r1[(j, j)] = beta;
+        // Store the reflector tail in R2's column j (rows 0..=j), and zero
+        // the ignored rows under it for a clean representation.
+        let vj = &x[1..j + 2];
+        let col = r2.col_mut(j);
+        col[..=j].copy_from_slice(vj);
+        col[j + 1..].fill(0.0);
         if tj == 0.0 {
             continue;
         }
+        // Update trailing columns k > j of both blocks:
+        // w = R1[j,k] + vᵀ·R2(0..=j, k).
         for k in j + 1..n {
-            // w = R1[j,k] + V(0..=j, j)ᵀ · R2(0..=j, k)
-            let mut w = r1[(j, k)];
-            for i in 0..=j {
-                w += r2[(i, j)] * r2[(i, k)];
-            }
-            let tw = tj * w;
+            let ck = &mut r2.col_mut(k)[..=j];
+            let tw = tj * (r1[(j, k)] + dot(vj, ck));
             r1[(j, k)] -= tw;
-            for i in 0..=j {
-                let vij = r2[(i, j)];
-                r2[(i, k)] -= tw * vij;
-            }
+            axpy(-tw, vj, ck);
         }
     }
-    // Zero the strict lower triangle of V for a clean representation.
-    let mut v = r2.clone();
-    for j in 0..n {
-        for i in j + 1..n {
-            v[(i, j)] = 0.0;
-        }
-    }
-    *r2 = v.clone();
-    StackedFactors { v, tau }
+    StackedFactors { v: r2.clone(), tau }
 }
 
 /// `larfg` specialised for the in-place buffer used by [`tpqrt`]:
@@ -133,10 +118,7 @@ pub fn tpmqrt(trans: Trans, f: &StackedFactors, c1: &mut Matrix, c2: &mut Matrix
             let w = c1[(j, col)] + dot(vj, &c2.col(col)[..=j]);
             let tw = tj * w;
             c1[(j, col)] -= tw;
-            let c2col = c2.col_mut(col);
-            for (i, &vij) in vj.iter().enumerate() {
-                c2col[i] -= tw * vij;
-            }
+            axpy(-tw, vj, &mut c2.col_mut(col)[..=j]);
         }
     }
 }
@@ -160,20 +142,17 @@ pub fn tpqrt_dense(r1: &mut Matrix, b: &mut Matrix) -> DenseStackedFactors {
         let refl = generate_reflector(&mut x[..q + 1]);
         tau[j] = refl.0;
         r1[(j, j)] = refl.1;
-        b.col_mut(j).copy_from_slice(&x[1..=q]);
+        let vj = &x[1..=q];
+        b.col_mut(j).copy_from_slice(vj);
         let tj = tau[j];
         if tj == 0.0 {
             continue;
         }
         for k in j + 1..n {
-            let w = r1[(j, k)] + dot(b.col(j), b.col(k));
-            let tw = tj * w;
-            r1[(j, k)] -= tw;
-            let vj: Vec<f64> = b.col(j).to_vec();
             let ck = b.col_mut(k);
-            for (c, v) in ck.iter_mut().zip(&vj) {
-                *c -= tw * v;
-            }
+            let tw = tj * (r1[(j, k)] + dot(vj, ck));
+            r1[(j, k)] -= tw;
+            axpy(-tw, vj, ck);
         }
     }
     DenseStackedFactors { v: b.clone(), tau }
@@ -229,16 +208,11 @@ pub fn tpmqrt_dense(
             let w = c1[(j, col)] + dot(vj, c2.col(col));
             let tw = tj * w;
             c1[(j, col)] -= tw;
-            let c2col = c2.col_mut(col);
-            for (c, v) in c2col.iter_mut().zip(vj) {
-                *c -= tw * v;
-            }
+            axpy(-tw, vj, c2.col_mut(col));
         }
     }
 }
 
-// archlint: allow(reach) — the unstructured reference the stacked kernel's
-// unit tests compare `tpqrt` against.
 /// Reference implementation: dense QR of the `2n × n` stack, the
 /// unstructured computation [`tpqrt`] replaces.
 pub fn stack_qr_dense(r1: &Matrix, r2: &Matrix) -> crate::qr::QrFactors {

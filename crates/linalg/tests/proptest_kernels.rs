@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use tsqr_linalg::blas;
 use tsqr_linalg::prelude::*;
-use tsqr_linalg::qr::Trans;
-use tsqr_linalg::stacked::{tpmqrt_dense, tpqrt_dense};
+use tsqr_linalg::qr::{larfb_left, larft, Trans};
+use tsqr_linalg::stacked::{stack_qr_dense, tpmqrt_dense, tpqrt_dense};
 use tsqr_linalg::verify::{is_upper_triangular, orthogonality, r_distance, relative_residual};
 use tsqr_linalg::Matrix;
 
@@ -160,6 +160,54 @@ proptest! {
                 + alpha * (0..k).map(|l| ao[(i, l)] * bo[(l, j)]).sum::<f64>()
         });
         prop_assert!(c.approx_eq(&want, 1e-11));
+    }
+
+    /// The streaming block update `larfb_left` applies the same `Q` (and
+    /// `Qᵀ`) as the reflectors one at a time, for reflector counts and row
+    /// counts on both sides of its four-reflector sweeps.
+    #[test]
+    fn larfb_matches_sequential_reflectors(
+        k in 1usize..13,
+        extra in 0usize..58,
+        n in 0usize..9,
+        seed in 0u64..1_000_000,
+    ) {
+        let m = k + extra;
+        let f = QrFactors::compute_unblocked(&mat(m, k, seed));
+        let t = larft(&f.factors.view(), &f.tau);
+        let c0 = mat(m, n, seed + 1);
+        for trans in [Trans::Yes, Trans::No] {
+            let mut seq = c0.clone();
+            orm2r(Side::Left, trans, &f.factors.view(), &f.tau, &mut seq.view_mut());
+            let mut blk = c0.clone();
+            larfb_left(trans, &f.factors.view(), &t.view(), &mut blk.view_mut());
+            prop_assert!(blk.approx_eq(&seq, 1e-12), "trans {trans:?}, m {m}, k {k}, n {n}");
+        }
+    }
+
+    /// The structured combine gives the dense stack QR's R up to row signs,
+    /// for sizes across the eight-wide chunks of `dot`.
+    #[test]
+    fn tpqrt_matches_dense_stack_qr(n in 1usize..24, s1 in 0u64..1000, s2 in 0u64..1000) {
+        let r1 = mat(n, n, s1).upper_triangular_padded();
+        let r2 = mat(n, n, s2).upper_triangular_padded();
+        let (mut a, mut b) = (r1.clone(), r2.clone());
+        tpqrt(&mut a, &mut b);
+        let got = sign_normalize_r(&a.upper_triangular_padded());
+        let want = sign_normalize_r(&stack_qr_dense(&r1, &r2).r());
+        prop_assert!(got.approx_eq(&want, 1e-11 * want.norm_max().max(1.0)));
+    }
+
+    /// The eight-way `dot` agrees with a left-to-right sum to 1e-13 of
+    /// `Σ|xᵢyᵢ|`, the scale its rounding error is bounded by.
+    #[test]
+    fn dot_matches_naive_sum(len in 0usize..40, seed in 0u64..1_000_000) {
+        let x = mat(len, 1, seed);
+        let y = mat(len, 1, seed + 1);
+        let (x, y) = (x.as_slice(), y.as_slice());
+        let naive = x.iter().zip(y).fold(0.0, |s, (a, b)| s + a * b);
+        let scale: f64 = x.iter().zip(y).map(|(a, b)| (a * b).abs()).sum();
+        prop_assert!((blas::dot(x, y) - naive).abs() <= 1e-13 * scale);
     }
 
     /// nrm2 is scale-invariant: ||c·x|| = |c|·||x||.

@@ -108,6 +108,7 @@ use grid_tsqr::core::tune;
 use grid_tsqr::core::workload;
 use grid_tsqr::gridmpi::{explore, fnv1a, schedules_for, FoldedProfile, HbReport, Runtime};
 use grid_tsqr::linalg::prelude::QrFactors;
+use grid_tsqr::linalg::qr::DEFAULT_NB;
 use grid_tsqr::linalg::verify::r_distance;
 use grid_tsqr::netsim::{
     ClusterSpec, CostModel, FailureSchedule, GridTopology, LinkParams, VirtualTime,
@@ -166,6 +167,44 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("--{name}: cannot parse {v:?}")),
         }
     }
+
+    /// Fails on the first flag `cmd` does not read, so a typo is an error
+    /// instead of a silently ignored default.
+    fn reject_unknown(&self, cmd: &str) -> Result<(), String> {
+        let known = known_flags(cmd).ok_or_else(|| format!("unknown command {cmd:?}"))?;
+        match self.flags.iter().find(|(f, _)| !known.contains(&f.as_str())) {
+            Some((f, _)) => Err(format!("{cmd}: unknown flag --{f}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The flags each subcommand reads.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "info" => &[],
+        "report" => &["ledger", "threshold", "top", "check", "golden", "bless", "out"],
+        "serve" => &[
+            "policy", "load", "requests", "seed", "batch", "queue", "shape", "sweep",
+            "trace-out", "crash", "wan-slow", "drop-flow", "drop-prob", "fault-seed", "retry",
+            "backoff", "no-checkpoint", "brownout",
+        ],
+        "tsqr" => &["m", "n", "sites", "seed", "real", "domains", "tree", "q"],
+        "scalapack" => &["m", "n", "sites", "seed", "real", "blocked"],
+        "compare" => &["m", "n", "sites"],
+        "tune" => &["m", "n", "sites", "domains"],
+        "trace" => &[
+            "m", "n", "sites", "seed", "real", "domains", "tree", "algo", "timeline", "out",
+            "folded-out",
+        ],
+        "analyze" => &["m", "n", "sites", "seed", "real", "domains", "tree", "algo", "bins"],
+        "faults" => &[
+            "m", "n", "sites", "seed", "fault-seed", "crash", "drop", "drop-prob", "wan-slow",
+            "baseline",
+        ],
+        "check" => &["m", "n", "sites", "seed", "no-matrix", "no-explore", "golden", "bless"],
+        _ => return None,
+    })
 }
 
 /// Extracts `K` from the `- entries: K` header line of a blessed report.
@@ -295,6 +334,7 @@ fn run() -> Result<String, String> {
         return Err("missing command".into());
     };
     let args = Args::parse(rest)?;
+    args.reject_unknown(cmd)?;
 
     if cmd == "info" {
         let catalog = grid_tsqr::qcg::ResourceCatalog::grid5000();
@@ -725,7 +765,7 @@ fn run() -> Result<String, String> {
         if m > 1 << 22 {
             return Ok("  (matrix too tall to verify in-process; skipped)\n".into());
         }
-        let reference = QrFactors::compute(&workload::full_matrix(seed, m as usize, n), 64)
+        let reference = QrFactors::factor(workload::full_matrix(seed, m as usize, n), DEFAULT_NB)
             .r()
             .upper_triangular_padded();
         let d = r_distance(r, &reference);

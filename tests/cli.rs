@@ -163,3 +163,15 @@ fn bad_input_exits_nonzero_with_usage() {
         assert!(err.contains("USAGE"), "{err}");
     }
 }
+
+#[test]
+fn a_mistyped_flag_is_rejected_by_name() {
+    let out = cli()
+        .args(["tsqr", "--m", "4096", "--n", "8", "--sites", "2", "--site", "4"])
+        .output()
+        .expect("run cli");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag --site"), "{err}");
+    assert!(err.contains("USAGE"), "{err}");
+}
